@@ -1,11 +1,12 @@
 """Seeded generation of inhomogeneous spatial node deployments over a disk.
 
-Two generation modes share the same primitives: ``deploy_automatic`` builds
-a random layered deployment from three designer inputs (region radius,
-layer-count bound, node total), while ``deploy_planned`` fills explicit
-non-overlapping sectors.  ``scatternet.stats`` verifies the distributional
-contracts of either mode and ``scatternet.cli`` exposes batch generation,
-validation and benchmarking.
+Two generation modes share one fill per shape (``scatternet.sampling``):
+``deploy_automatic`` builds a random layered deployment from three designer
+inputs (region radius, layer-count bound, node total), while
+``deploy_planned`` fills explicit non-overlapping sectors.
+``scatternet.stats`` verifies the distributional contracts of either mode
+and ``scatternet.cli`` exposes batch generation, validation and
+benchmarking.
 """
 
 from .automatic import (
@@ -13,7 +14,6 @@ from .automatic import (
     deploy_automatic,
     sample_layer_count,
     sample_layer_radii,
-    sample_point_in_annulus,
     split_nodes,
 )
 from .core import (
@@ -35,7 +35,6 @@ from .planned import (
     OverlapError,
     check_non_overlap,
     deploy_planned,
-    sample_point_in_sector,
 )
 from .rng import RandomStream, discrete_uniform_via_threshold
 from .stats import (
@@ -79,8 +78,6 @@ __all__ = [
     "radial_ks",
     "sample_layer_count",
     "sample_layer_radii",
-    "sample_point_in_annulus",
-    "sample_point_in_sector",
     "sector_area",
     "sector_density",
     "split_nodes",

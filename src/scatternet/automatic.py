@@ -10,24 +10,21 @@ radius.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Deployment, LayerSet, NetworkConfig, validate_config
 from .rng import discrete_uniform_via_threshold
+from .sampling import fill_annulus, fill_in_order
 
 __all__ = [
     "LayerPlan",
     "sample_layer_count",
     "split_nodes",
     "sample_layer_radii",
-    "sample_point_in_annulus",
     "deploy_automatic",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,6 @@ def sample_layer_count(max_layers: int, stream) -> int:
 
     At least two layers are required for any density contrast to exist.
     """
-    if max_layers < 2:
-        raise ValueError(f"max_layers must be at least 2, got {max_layers}")
     return discrete_uniform_via_threshold(stream, max_layers)
 
 
@@ -97,60 +92,6 @@ def sample_layer_radii(radius: float, layers: int, stream) -> LayerSet:
     draws = np.asarray(stream.uniform_block(layers - 1), dtype=np.float64) * radius
     draws.sort()
     return LayerSet(radius=radius, boundaries=tuple(float(r) for r in draws))
-
-
-def sample_point_in_annulus(inner: float, outer: float, stream):
-    """One point uniform over the annulus area between ``inner`` and ``outer``.
-
-    Consumes two variates in a fixed order: the first sets the radius through
-    the inverse of the area CDF, the second sets the angle.
-    """
-    if not (0.0 <= inner < outer):
-        raise ValueError(f"annulus sampling requires 0 <= inner < outer, got ({inner}, {outer})")
-    u_radial = stream.uniform01()
-    u_angular = stream.uniform01()
-    r = math.sqrt(inner * inner + u_radial * (outer * outer - inner * inner))
-    theta = TWO_PI * u_angular
-    return r * math.cos(theta), r * math.sin(theta)
-
-
-_POINT_CHUNK = 1 << 14
-
-
-def _fill_annulus_points(x, y, inner: float, outer: float, stream):
-    # Same draw order as len(x) scalar calls: (radial, angular) per point.
-    # Unlike the public scalar sampler this tolerates inner == outer (a
-    # zero-width layer from a floating-point radius collision): every node
-    # lands at the shared radius, and the stream still advances two draws
-    # per node.  Work proceeds in cache-sized chunks over reused scratch so
-    # cost stays linear in n.
-    n = x.size
-    inner_sq = inner * inner
-    span = outer * outer - inner * inner
-    m_max = min(n, _POINT_CHUNK)
-    draws = np.empty(2 * m_max, dtype=np.float64)
-    radius = np.empty(m_max, dtype=np.float64)
-    angle = np.empty(m_max, dtype=np.float64)
-    scratch = np.empty(m_max, dtype=np.float64)
-    for start in range(0, n, _POINT_CHUNK):
-        stop = min(start + _POINT_CHUNK, n)
-        m = stop - start
-        stream.uniform_fill(draws[: 2 * m])
-        np.multiply(draws[0 : 2 * m : 2], span, out=radius[:m])
-        radius[:m] += inner_sq
-        np.sqrt(radius[:m], out=radius[:m])
-        np.multiply(draws[1 : 2 * m : 2], TWO_PI, out=angle[:m])
-        np.cos(angle[:m], out=scratch[:m])
-        np.multiply(radius[:m], scratch[:m], out=x[start:stop])
-        np.sin(angle[:m], out=scratch[:m])
-        np.multiply(radius[:m], scratch[:m], out=y[start:stop])
-
-
-def _sample_annulus_block(inner: float, outer: float, n: int, stream):
-    x = np.empty(n, dtype=np.float64)
-    y = np.empty(n, dtype=np.float64)
-    _fill_annulus_points(x, y, inner, outer, stream)
-    return x, y
 
 
 def plan_run(config: NetworkConfig, stream, force_layer_count=None) -> LayerPlan:
@@ -199,17 +140,10 @@ def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -
         index, plus the resolved layer geometry and node quotas.
     """
     plan = plan_run(config, stream, force_layer_count)
-    total = plan.total_nodes
-    x = np.empty(total, dtype=np.float64)
-    y = np.empty(total, dtype=np.float64)
-    tags = np.empty(total, dtype=np.int64)
-    offset = 0
-    for layer in range(1, plan.layer_count + 1):
-        inner, outer = plan.layer_set.bounds(layer)
-        quota = plan.inner_count if layer == 1 else plan.outer_count
-        _fill_annulus_points(x[offset : offset + quota], y[offset : offset + quota], inner, outer, stream)
-        tags[offset : offset + quota] = layer
-        offset += quota
+    quotas = [plan.inner_count] + [plan.outer_count] * (plan.layer_count - 1)
+    x, y, tags = fill_in_order(
+        quotas, lambda layer, xs, ys: fill_annulus(xs, ys, *plan.layer_set.bounds(layer), stream)
+    )
     return Deployment(
         x=x,
         y=y,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .automatic import deploy_automatic
-from .core import ConfigError, NetworkConfig, validate_config
+from .core import MAX_UINT64, ConfigError, NetworkConfig, validate_config
 from .fileio import (
     FormatError,
     automatic_metadata,
@@ -26,9 +26,16 @@ from .fileio import (
     write_points,
     write_report,
 )
-from .planned import check_non_overlap, deploy_planned
+from .planned import OverlapError, check_non_overlap, deploy_planned
 from .rng import RandomStream
-from .stats import DEFAULT_CHI2_ALPHA, DEFAULT_KS_ALPHA, check_membership, count_per_sector, evaluate_deployment
+from .stats import (
+    DEFAULT_CHI2_ALPHA,
+    DEFAULT_KS_ALPHA,
+    check_membership,
+    count_per_sector,
+    evaluate_deployment,
+    sector_table,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,12 +47,8 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _run_stem(out_dir: Path, run: int) -> Path:
-    return out_dir / f"run_{run:03d}"
-
-
 def _write_run(out_dir: Path, run: int, deployment, meta: dict, fmt: str, plot_data: bool) -> Path:
-    stem = _run_stem(out_dir, run)
+    stem = out_dir / f"run_{run:03d}"
     points_path = stem.with_suffix(f".{fmt}")
     write_points(points_path, deployment, fmt=fmt)
     write_metadata(stem.with_suffix(".meta.json"), meta)
@@ -54,14 +57,47 @@ def _write_run(out_dir: Path, run: int, deployment, meta: dict, fmt: str, plot_d
     return points_path
 
 
-def cmd_deploy(args) -> int:
+def _automatic(args):
+    """``deploy``: validate the three designer inputs."""
+    config = validate_config(
+        NetworkConfig(radius=args.size, max_layers=args.max_layers, nodes=args.nodes, seed=args.seed)
+    )
+    return (
+        lambda stream: deploy_automatic(config, stream),
+        lambda deployment, run: automatic_metadata(deployment, run),
+        lambda meta: f"layers={meta['n_L']} inner={meta['n_in']} outer={meta['n_out']}",
+    )
+
+
+def _planned(args):
+    """``plan``: load the plan file and check it, then the seed."""
+    plan = load_plan(args.plan)
+    check = check_non_overlap(plan.sectors)
+    if not check.ok:
+        raise OverlapError(check.message)
+    if not 0 <= args.seed <= MAX_UINT64:
+        raise ConfigError([f"seed must fit in an unsigned 64-bit integer, got {args.seed}"])
+    return (
+        lambda stream: deploy_planned(plan, stream),
+        lambda deployment, run: planned_metadata(deployment, run, args.seed),
+        lambda meta: f"sectors={len(plan.sectors)}",
+    )
+
+
+def cmd_generate(args) -> int:
+    """``deploy`` and ``plan``.  ``args.resolve`` turns the mode's input into a
+    deploy call, a metadata call and a run summary; run k draws from stream k."""
     if args.runs < 1:
         _err(f"invalid configuration: runs must be at least 1, got {args.runs}")
         return EXIT_CONFIG
     try:
-        config = validate_config(
-            NetworkConfig(radius=args.size, max_layers=args.max_layers, nodes=args.nodes, seed=args.seed)
-        )
+        deploy, metadata, summary = args.resolve(args)
+    except OSError as exc:
+        _err(f"I/O error: {exc}")
+        return EXIT_IO
+    except (FormatError, OverlapError) as exc:
+        _err(f"invalid plan: {exc}")
+        return EXIT_CONFIG
     except ConfigError as exc:
         for violation in exc.violations:
             _err(f"invalid configuration: {violation}")
@@ -70,64 +106,14 @@ def cmd_deploy(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for run in range(args.runs):
-            stream = RandomStream(config.seed, run)
-            deployment = deploy_automatic(config, stream)
-            meta = automatic_metadata(deployment, run)
+            deployment = deploy(RandomStream(args.seed, run))
+            meta = metadata(deployment, run)
             points_path = _write_run(out_dir, run, deployment, meta, args.format, args.plot_data)
-            print(
-                f"run {run:03d}: layers={meta['n_L']} inner={meta['n_in']} "
-                f"outer={meta['n_out']} points={len(deployment)} -> {points_path}"
-            )
+            print(f"run {run:03d}: {summary(meta)} points={len(deployment)} -> {points_path}")
     except OSError as exc:
         _err(f"I/O error: {exc}")
         return EXIT_IO
     return EXIT_OK
-
-
-def cmd_plan(args) -> int:
-    if args.runs < 1:
-        _err(f"invalid configuration: runs must be at least 1, got {args.runs}")
-        return EXIT_CONFIG
-    try:
-        plan = load_plan(args.plan)
-    except FileNotFoundError as exc:
-        _err(f"I/O error: {exc}")
-        return EXIT_IO
-    except FormatError as exc:
-        _err(f"invalid plan: {exc}")
-        return EXIT_CONFIG
-    check = check_non_overlap(plan.sectors)
-    if not check.ok:
-        _err(f"invalid plan: {check.message}")
-        return EXIT_CONFIG
-    try:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError([f"seed must fit in an unsigned 64-bit integer, got {args.seed}"])
-    except ConfigError as exc:
-        _err(f"invalid configuration: {exc}")
-        return EXIT_CONFIG
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for run in range(args.runs):
-            stream = RandomStream(args.seed, run)
-            deployment = deploy_planned(plan, stream)
-            meta = planned_metadata(deployment, run, args.seed)
-            points_path = _write_run(out_dir, run, deployment, meta, args.format, args.plot_data)
-            print(f"run {run:03d}: sectors={len(plan.sectors)} points={len(deployment)} -> {points_path}")
-    except OSError as exc:
-        _err(f"I/O error: {exc}")
-        return EXIT_IO
-    return EXIT_OK
-
-
-def _expected_counts(deployment) -> dict:
-    if deployment.config is not None:
-        expected = {1: deployment.inner_count}
-        for layer in range(2, deployment.layer_set.layer_count + 1):
-            expected[layer] = deployment.outer_count
-        return expected
-    return {i: sec.count for i, sec in enumerate(deployment.plan.sectors, start=1)}
 
 
 def _validate_one(points_path: Path, ks_alpha: float) -> int:
@@ -145,7 +131,7 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
         return EXIT_IO
 
     code = EXIT_OK
-    expected = _expected_counts(deployment)
+    expected = {index: quota for index, _, quota in sector_table(deployment)}
     actual = dict(count_per_sector(deployment))
     if actual != expected:
         for index in sorted(set(expected) | set(actual)):
@@ -276,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     deploy.add_argument("--out-dir", default=".", help="output directory")
     deploy.add_argument("--format", choices=("csv", "json"), default="csv", help="points file format")
     deploy.add_argument("--plot-data", action="store_true", help="also write scatter and ring-boundary files")
-    deploy.set_defaults(func=cmd_deploy)
+    deploy.set_defaults(func=cmd_generate, resolve=_automatic)
 
     plan = sub.add_parser("plan", help="generate deployments from a sector plan file")
     plan.add_argument("--plan", required=True, help="path to a JSON plan (array of sector objects)")
@@ -285,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--out-dir", default=".", help="output directory")
     plan.add_argument("--format", choices=("csv", "json"), default="csv", help="points file format")
     plan.add_argument("--plot-data", action="store_true", help="also write scatter files")
-    plan.set_defaults(func=cmd_plan)
+    plan.set_defaults(func=cmd_generate, resolve=_planned)
 
     validate = sub.add_parser("validate", help="statistically validate generated runs")
     validate.add_argument("files", nargs="+", help="points files (each needs its .meta.json sibling)")

@@ -161,9 +161,14 @@ class Annulus:
 
 @dataclass(frozen=True)
 class Disk:
-    """Origin-centered disk of radius ``radius``."""
+    """Origin-centered disk of radius ``radius``: an annulus with inner radius 0."""
 
     radius: float
+    inner = 0.0
+
+    @property
+    def outer(self) -> float:
+        return self.radius
 
     def __post_init__(self):
         if not self.radius > 0:

@@ -7,11 +7,14 @@ identical runs produce byte-identical files on every platform.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import Annulus, Deployment, Disk, LayerSet, NetworkConfig, Rect, Sector
+from .automatic import LayerPlan
+from .core import Annulus, Deployment, Disk, LayerSet, NetworkConfig, Rect, Sector, validate_config
 from .planned import DeploymentPlan
 
 __all__ = [
@@ -38,6 +41,27 @@ class FormatError(ValueError):
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float, if it is a finite JSON number (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise FormatError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` itself if it is a JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _load_json(path):
+    try:
+        return json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes and too deep nesting
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def write_points(path, deployment: Deployment, fmt: str = "csv") -> None:
@@ -126,88 +150,108 @@ def write_metadata(path, meta: dict) -> None:
 
 def read_metadata(path) -> dict:
     path = Path(path)
-    try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    meta = _load_json(path)
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: metadata must be a JSON object")
     return meta
 
 
+_AUTOMATIC_INTEGERS = ("n_Lmax", "n_S", "seed", "run", "n_L", "n_in", "n_out")
+
+
+def _automatic_from_meta(x, y, sector, meta) -> Deployment:
+    missing = {"L", "radii", *_AUTOMATIC_INTEGERS} - meta.keys()
+    if missing:
+        raise FormatError(f"missing metadata keys {sorted(missing)}")
+    ints = {key: _integer(meta[key], key) for key in _AUTOMATIC_INTEGERS}
+    radius = _number(meta["L"], "L")
+    if not isinstance(meta["radii"], list):
+        raise FormatError(f"radii must be a list, got {meta['radii']!r}")
+    if ints["n_L"] != len(meta["radii"]) + 1:
+        raise FormatError(f"n_L is {ints['n_L']} but radii lists {len(meta['radii'])} boundaries")
+    config = validate_config(
+        NetworkConfig(radius=radius, max_layers=ints["n_Lmax"], nodes=ints["n_S"], seed=ints["seed"])
+    )
+    layer_set = LayerSet(radius=radius, boundaries=tuple(_number(r, "radii entry") for r in meta["radii"]))
+    plan = LayerPlan(ints["n_L"], ints["n_in"], ints["n_out"], layer_set)
+    if plan.total_nodes != config.nodes:
+        raise FormatError(f"n_in + (n_L - 1) * n_out is {plan.total_nodes} but n_S is {config.nodes}")
+    return Deployment(
+        x=x, y=y, sector=sector, config=config, layer_set=layer_set,
+        inner_count=ints["n_in"], outer_count=ints["n_out"],
+    )
+
+
 def deployment_from_files(points_path, meta_path) -> Deployment:
-    """Rebuild a Deployment (including its geometry) from a run's two files."""
+    """Rebuild a Deployment (including its geometry) from a run's two files.
+
+    Metadata must carry JSON integers where integers are written and agree
+    with itself: ``n_L == len(radii) + 1`` and ``n_in + (n_L - 1) * n_out ==
+    n_S`` for automatic runs.  Any violation raises :class:`FormatError`.
+    """
     x, y, sector = read_points(points_path)
+    if sector.size and sector.min() < 1:
+        raise FormatError(f"{points_path}: sector tags must be positive integers")
     meta = read_metadata(meta_path)
     if "n_L" in meta:
-        required = {"L", "n_Lmax", "n_S", "seed", "run", "n_L", "radii", "n_in", "n_out"}
-        missing = required - meta.keys()
-        if missing:
-            raise FormatError(f"{meta_path}: missing metadata keys {sorted(missing)}")
-        config = NetworkConfig(
-            radius=float(meta["L"]),
-            max_layers=int(meta["n_Lmax"]),
-            nodes=int(meta["n_S"]),
-            seed=int(meta["seed"]),
-        )
-        layer_set = LayerSet(radius=float(meta["L"]), boundaries=tuple(float(r) for r in meta["radii"]))
-        return Deployment(
-            x=x,
-            y=y,
-            sector=sector,
-            config=config,
-            layer_set=layer_set,
-            inner_count=int(meta["n_in"]),
-            outer_count=int(meta["n_out"]),
-        )
+        try:
+            return _automatic_from_meta(x, y, sector, meta)
+        except ValueError as exc:  # FormatError, ConfigError and the geometry checks
+            raise FormatError(f"{meta_path}: {exc}") from exc
     if "plan" in meta:
-        plan = DeploymentPlan(sectors=tuple(_obj_to_sector(obj, i) for i, obj in enumerate(meta["plan"], 1)))
-        return Deployment(x=x, y=y, sector=sector, plan=plan)
+        return Deployment(x=x, y=y, sector=sector, plan=_plan_from_objects(meta["plan"], meta_path))
     raise FormatError(f"{meta_path}: metadata carries neither 'n_L' nor 'plan'")
 
 
+# plan "shape" name -> (class, {JSON field: attribute}), fields in file order
+_SHAPES = {
+    "annulus": (Annulus, {"r_inner": "inner", "r_outer": "outer"}),
+    "disk": (Disk, {"r": "radius"}),
+    "rect": (Rect, {name: name for name in ("x0", "y0", "x1", "y1")}),
+}
+
+
 def _sector_to_obj(sector: Sector) -> dict:
-    shape = sector.shape
-    if isinstance(shape, Annulus):
-        return {"shape": "annulus", "r_inner": shape.inner, "r_outer": shape.outer, "n": sector.count}
-    if isinstance(shape, Disk):
-        return {"shape": "disk", "r": shape.radius, "n": sector.count}
-    return {"shape": "rect", "x0": shape.x0, "y0": shape.y0, "x1": shape.x1, "y1": shape.y1, "n": sector.count}
+    kind = next(kind for kind, (cls, _) in _SHAPES.items() if isinstance(sector.shape, cls))
+    fields = {key: getattr(sector.shape, attr) for key, attr in _SHAPES[kind][1].items()}
+    return {"shape": kind, **fields, "n": sector.count}
 
 
 def _obj_to_sector(obj, index: int) -> Sector:
+    """A sector from its plan object: finite coordinates, a positive finite
+    area and a non-boolean integer ``n``."""
+    where = f"sector {index}"
     if not isinstance(obj, dict):
-        raise FormatError(f"sector {index}: must be a JSON object")
+        raise FormatError(f"{where}: must be a JSON object")
     kind = obj.get("shape")
+    if not isinstance(kind, str) or kind not in _SHAPES:
+        raise FormatError(f"{where}: unknown shape {kind!r}")
+    cls, fields = _SHAPES[kind]
     try:
-        if kind == "annulus":
-            shape = Annulus(float(obj["r_inner"]), float(obj["r_outer"]))
-        elif kind == "disk":
-            shape = Disk(float(obj["r"]))
-        elif kind == "rect":
-            shape = Rect(float(obj["x0"]), float(obj["y0"]), float(obj["x1"]), float(obj["y1"]))
-        else:
-            raise FormatError(f"sector {index}: unknown shape {kind!r}")
-        return Sector(shape=shape, count=int(obj["n"]))
+        shape = cls(*(_number(obj[name], name) for name in fields))
+        sector = Sector(shape=shape, count=_integer(obj["n"], "n"))
+        area = shape.area()
     except KeyError as exc:
-        raise FormatError(f"sector {index}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"sector {index}: {exc}") from exc
+        raise FormatError(f"{where}: missing field {exc.args[0]!r}") from exc
+    except OverflowError:
+        area = math.inf
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    if not 0 < area < math.inf:
+        raise FormatError(f"{where}: area {area} is not a positive finite number")
+    return sector
+
+
+def _plan_from_objects(data, where) -> DeploymentPlan:
+    if not isinstance(data, list) or not data:
+        raise FormatError(f"{where}: plan must be a non-empty JSON array of sector objects")
+    return DeploymentPlan(sectors=tuple(_obj_to_sector(obj, i) for i, obj in enumerate(data, start=1)))
 
 
 def load_plan(path) -> DeploymentPlan:
     """Parse a plan file: a JSON array of sector objects."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, list) or not data:
-        raise FormatError(f"{path}: plan must be a non-empty JSON array of sector objects")
-    sectors = tuple(_obj_to_sector(obj, i) for i, obj in enumerate(data, start=1))
-    return DeploymentPlan(sectors=sectors)
+    return _plan_from_objects(_load_json(path), path)
 
 
 def save_plan(path, plan: DeploymentPlan) -> None:

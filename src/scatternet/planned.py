@@ -2,10 +2,10 @@
 
 A plan lists non-overlapping sectors (origin-centered annuli or disks, or
 axis-aligned rectangles), each with its own node quota.  Every sector is
-filled uniformly and independently from its own substream, then the
-per-sector point sets are concatenated; density contrast between sectors is
-what makes the combined pattern inhomogeneous.  Area not covered by any
-sector is intentionally left empty.
+filled uniformly and independently from its own substream into its slice of
+the run's coordinate arrays, in plan order; density contrast between
+sectors is what makes the combined pattern inhomogeneous.  Area not covered
+by any sector is intentionally left empty.
 """
 from __future__ import annotations
 
@@ -13,17 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .automatic import _sample_annulus_block, sample_point_in_annulus
-from .core import Annulus, Deployment, Disk, Rect, Sector
+from .core import Deployment, Rect, Sector
+from .sampling import fill_in_order, fill_sector
 
 __all__ = [
     "DeploymentPlan",
     "OverlapError",
     "OverlapCheck",
     "check_non_overlap",
-    "sample_point_in_sector",
     "deploy_planned",
 ]
 
@@ -73,11 +70,7 @@ class DeploymentPlan:
 
 def _radial_interval(shape):
     """Open radial interval occupied by a circular shape, None for rectangles."""
-    if isinstance(shape, Annulus):
-        return shape.inner, shape.outer
-    if isinstance(shape, Disk):
-        return 0.0, shape.radius
-    return None
+    return None if isinstance(shape, Rect) else (shape.inner, shape.outer)
 
 
 def _box_origin_distances(rect: Rect):
@@ -128,32 +121,6 @@ def check_non_overlap(sectors) -> OverlapCheck:
     return OverlapCheck(ok=True)
 
 
-def sample_point_in_sector(sector: Sector, stream):
-    """One point uniform over the sector's shape.
-
-    Circular shapes reduce to annulus sampling (a disk is an annulus with
-    inner radius 0); rectangles map two fresh variates affinely, x first.
-    """
-    shape = sector.shape
-    if isinstance(shape, Annulus):
-        return sample_point_in_annulus(shape.inner, shape.outer, stream)
-    if isinstance(shape, Disk):
-        return sample_point_in_annulus(0.0, shape.radius, stream)
-    u_x = stream.uniform01()
-    u_y = stream.uniform01()
-    return shape.x0 + u_x * (shape.x1 - shape.x0), shape.y0 + u_y * (shape.y1 - shape.y0)
-
-
-def _sample_sector_block(sector: Sector, n: int, stream):
-    shape = sector.shape
-    if isinstance(shape, Annulus):
-        return _sample_annulus_block(shape.inner, shape.outer, n, stream)
-    if isinstance(shape, Disk):
-        return _sample_annulus_block(0.0, shape.radius, n, stream)
-    u = stream.uniform_block(2 * n)
-    return shape.x0 + u[0::2] * (shape.x1 - shape.x0), shape.y0 + u[1::2] * (shape.y1 - shape.y0)
-
-
 def deploy_planned(plan: DeploymentPlan, stream) -> Deployment:
     """Generate one planned deployment by per-sector superposition.
 
@@ -167,18 +134,8 @@ def deploy_planned(plan: DeploymentPlan, stream) -> Deployment:
     check = check_non_overlap(plan.sectors)
     if not check.ok:
         raise OverlapError(check.message)
-    xs = []
-    ys = []
-    tags = []
-    for index, sector in enumerate(plan.sectors, start=1):
-        sub = stream.substream(index)
-        x, y = _sample_sector_block(sector, sector.count, sub)
-        xs.append(np.asarray(x, dtype=np.float64))
-        ys.append(np.asarray(y, dtype=np.float64))
-        tags.append(np.full(sector.count, index, dtype=np.int64))
-    return Deployment(
-        x=np.concatenate(xs),
-        y=np.concatenate(ys),
-        sector=np.concatenate(tags),
-        plan=plan,
+    x, y, tags = fill_in_order(
+        [sec.count for sec in plan.sectors],
+        lambda index, xs, ys: fill_sector(xs, ys, plan.sectors[index - 1].shape, stream.substream(index)),
     )
+    return Deployment(x=x, y=y, sector=tags, plan=plan)

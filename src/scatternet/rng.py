@@ -11,6 +11,8 @@ are frozen as golden values in the test suite.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["RandomStream", "discrete_uniform_via_threshold"]
@@ -69,33 +71,18 @@ class RandomStream:
         self._gen.random(out=out)
         return out
 
-    def uniform_real(self, low: float, high: float) -> float:
-        """Next variate, uniform on [low, high)."""
-        if not low < high:
-            raise ValueError(f"uniform_real requires low < high, got ({low}, {high})")
-        return low + self.uniform01() * (high - low)
-
-    def uniform_real_block(self, low: float, high: float, n: int) -> np.ndarray:
-        if not low < high:
-            raise ValueError(f"uniform_real_block requires low < high, got ({low}, {high})")
-        return low + self.uniform_block(n) * (high - low)
-
 
 def discrete_uniform_via_threshold(stream, n_max: int) -> int:
-    """Integer uniform on {2, ..., n_max} via a shifted-uniform threshold scan.
+    """Integer uniform on {2, ..., n_max} from one shifted uniform.
 
-    Draws one uniform u, shifts it to v = 3/2 + u * (n_max - 1), which lies
-    in [3/2, n_max + 1/2), and returns the smallest candidate i in
-    {2, ..., n_max} with v - i <= 1/2.  The scan always terminates because
-    v < n_max + 1/2 makes the condition true at i = n_max.  Equivalent to
-    rounding v to the nearest integer with half-way cases rounded down,
-    clamped to the candidate range.
+    Draws one uniform u and shifts it to v = 3/2 + u * (n_max - 1), which
+    lies in [3/2, n_max + 1/2).  The result is the smallest candidate i in
+    {2, ..., n_max} with v - i <= 1/2: v rounded to the nearest integer with
+    half-way cases rounded down, clamped to the candidate range.  Both
+    v - 1/2 here and v - i in the scan are exact for v < 2**52, so this
+    closed form and the literal scan agree on every u.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    u = stream.uniform01()
-    v = 1.5 + u * (n_max - 1)
-    for i in range(2, n_max + 1):
-        if v - i <= 0.5:
-            return i
-    return n_max  # unreachable for u in [0, 1); kept for total behavior
+    v = 1.5 + stream.uniform01() * (n_max - 1)
+    return min(max(2, math.ceil(v - 0.5)), n_max)

@@ -31,6 +31,7 @@ __all__ = [
     "rect_chi2",
     "equal_area_boundaries",
     "count_per_sector",
+    "sector_table",
     "empirical_density_profile",
     "check_membership",
     "evaluate_deployment",
@@ -46,6 +47,11 @@ MIN_EXPECTED_PER_BIN = 5
 
 class InsufficientSampleError(ValueError):
     """The point set is too small for the requested test to be meaningful."""
+
+
+def _require_points(n: int, needed: int, test: str) -> None:
+    if n < needed:
+        raise InsufficientSampleError(f"{test} needs at least {needed} points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,7 @@ def radial_ks(x, y, inner: float, outer: float, alpha: float = DEFAULT_KS_ALPHA)
         raise ValueError(f"radial_ks requires 0 <= inner < outer, got ({inner}, {outer})")
     r = np.hypot(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     n = r.size
-    if n < MIN_KS_POINTS:
-        raise InsufficientSampleError(f"radial KS needs at least {MIN_KS_POINTS} points, got {n}")
+    _require_points(n, MIN_KS_POINTS, "radial KS")
     r = np.sort(r)
     cdf = (r * r - inner * inner) / (outer * outer - inner * inner)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
@@ -106,11 +111,7 @@ def angular_chi2(x, y, bins: int = 36, alpha: float = DEFAULT_CHI2_ALPHA) -> Gof
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
-    if n < MIN_EXPECTED_PER_BIN * bins:
-        raise InsufficientSampleError(
-            f"angular chi-square with {bins} bins needs at least "
-            f"{MIN_EXPECTED_PER_BIN * bins} points, got {n}"
-        )
+    _require_points(n, MIN_EXPECTED_PER_BIN * bins, f"angular chi-square with {bins} bins")
     angles = np.mod(np.arctan2(y, x), 2.0 * math.pi)
     observed, _ = np.histogram(angles, bins=bins, range=(0.0, 2.0 * math.pi))
     expected = np.full(bins, n / bins)
@@ -148,11 +149,9 @@ def areal_chi2(
     if cells < 2:
         raise ValueError("areal chi-square needs at least 2 cells")
     n = x.size
-    if n < MIN_EXPECTED_PER_BIN * cells:
-        raise InsufficientSampleError(
-            f"areal chi-square with {radial_bins}x{angular_bins} cells needs at least "
-            f"{MIN_EXPECTED_PER_BIN * cells} points, got {n}"
-        )
+    _require_points(
+        n, MIN_EXPECTED_PER_BIN * cells, f"areal chi-square with {radial_bins}x{angular_bins} cells"
+    )
     r = np.hypot(x, y)
     shell_edges = equal_area_boundaries(inner, outer, radial_bins)
     shell = np.clip(np.searchsorted(shell_edges[1:-1], r, side="right"), 0, radial_bins - 1)
@@ -180,11 +179,7 @@ def rect_chi2(
     if cells < 2:
         raise ValueError("rect chi-square needs at least 2 cells")
     n = x.size
-    if n < MIN_EXPECTED_PER_BIN * cells:
-        raise InsufficientSampleError(
-            f"rect chi-square with {x_bins}x{y_bins} cells needs at least "
-            f"{MIN_EXPECTED_PER_BIN * cells} points, got {n}"
-        )
+    _require_points(n, MIN_EXPECTED_PER_BIN * cells, f"rect chi-square with {x_bins}x{y_bins} cells")
     col = np.clip(((x - rect.x0) * (x_bins / (rect.x1 - rect.x0))).astype(np.int64), 0, x_bins - 1)
     row = np.clip(((y - rect.y0) * (y_bins / (rect.y1 - rect.y0))).astype(np.int64), 0, y_bins - 1)
     observed = np.bincount(row * x_bins + col, minlength=cells).astype(np.float64)
@@ -203,29 +198,43 @@ def count_per_sector(deployment: Deployment):
     return [(i + 1, int(c)) for i, c in enumerate(counts)]
 
 
-def _sector_geometry(deployment: Deployment):
-    """(index, shape) pairs describing each sector's domain, 1-based."""
+def sector_table(deployment: Deployment):
+    """(index, shape, quota) of every sector, 1-based.
+
+    An automatic run's layers are a disk and annuli, the inner quota first;
+    a zero-width layer (a radius collision) has shape None and area 0.
+    """
     if deployment.layer_set is not None:
-        ls = deployment.layer_set
-        out = []
-        for i in range(1, ls.layer_count + 1):
-            inner, outer = ls.bounds(i)
-            if outer > inner:
-                shape = Annulus(inner, outer) if inner > 0 else Disk(outer)
-            else:
-                shape = None  # zero-width collision layer, area 0
-            out.append((i, shape))
-        return out
+        table = []
+        for i in range(1, deployment.layer_set.layer_count + 1):
+            inner, outer = deployment.layer_set.bounds(i)
+            shape = None if inner == outer else Annulus(inner, outer) if inner > 0 else Disk(outer)
+            table.append((i, shape, deployment.inner_count if i == 1 else deployment.outer_count))
+        return table
     if deployment.plan is not None:
-        return [(i, sec.shape) for i, sec in enumerate(deployment.plan.sectors, start=1)]
+        return [(i, sec.shape, sec.count) for i, sec in enumerate(deployment.plan.sectors, start=1)]
     raise ValueError("deployment carries neither a layer set nor a plan; sector geometry unknown")
+
+
+def _members(deployment: Deployment, table):
+    """Indices of each table sector's points, in point order.
+
+    One stable argsort of the tags groups every sector at once, in place of
+    one mask over all points per sector.
+    """
+    tags = np.asarray(deployment.sector)
+    order = np.argsort(tags, kind="stable")
+    indices = [index for index, _, _ in table]
+    lo = np.searchsorted(tags[order], indices, side="left")
+    hi = np.searchsorted(tags[order], indices, side="right")
+    return [order[a:b] for a, b in zip(lo, hi)]
 
 
 def empirical_density_profile(deployment: Deployment):
     """Realized density of every sector as a list of (index, count / area)."""
     counts = dict(count_per_sector(deployment))
     out = []
-    for index, shape in _sector_geometry(deployment):
+    for index, shape, _ in sector_table(deployment):
         count = counts.get(index, 0)
         area = shape.area() if shape is not None else 0.0
         out.append((index, count / area if area > 0 else math.inf))
@@ -239,20 +248,20 @@ def check_membership(deployment: Deployment) -> np.ndarray:
     ends so that a boundary radius produced by floating rounding never
     trips the check; genuinely displaced points remain detectable.
     """
-    tags = np.asarray(deployment.sector)
+    table = sector_table(deployment)
     violations = []
-    for index, shape in _sector_geometry(deployment):
-        mask = tags == index
-        if not np.any(mask):
+    for (index, shape, _), members in zip(table, _members(deployment, table)):
+        if not members.size:
             continue
+        x = deployment.x[members]
+        y = deployment.y[members]
         if shape is None:
             # zero-width layer: all nodes must sit exactly at the shared radius
             inner, _ = deployment.layer_set.bounds(index)
-            ok = np.isclose(np.hypot(deployment.x[mask], deployment.y[mask]), inner)
+            ok = np.isclose(np.hypot(x, y), inner)
         else:
-            ok = shape.contains(deployment.x[mask], deployment.y[mask])
-        bad = np.flatnonzero(mask)[~np.asarray(ok)]
-        violations.append(bad)
+            ok = shape.contains(x, y)
+        violations.append(members[~np.asarray(ok)])
     if not violations:
         return np.empty(0, dtype=np.int64)
     return np.sort(np.concatenate(violations))
@@ -282,10 +291,7 @@ class StatReport:
     skipped: tuple = field(default_factory=tuple)  # (sector index, test name, reason)
 
     def all_passed(self) -> bool:
-        results = [res for _, res in self.radial] + [res for _, res in self.areal]
-        if self.angular is not None:
-            results.append(self.angular)
-        return all(res.passed for res in results)
+        return not self.failures()
 
     def failures(self):
         out = [("radial_ks", idx, res) for idx, res in self.radial if not res.passed]
@@ -324,49 +330,40 @@ def evaluate_deployment(
     only applies when every sector is origin-centered.
     """
     counts = dict(count_per_sector(deployment))
-    geometry = _sector_geometry(deployment)
-    tags = np.asarray(deployment.sector)
+    table = sector_table(deployment)
 
     per_sector = []
     radial = []
     areal = []
     skipped = []
     all_circular = True
-    for index, shape in geometry:
+    min_areal = MIN_EXPECTED_PER_BIN * areal_shells * areal_wedges
+    for (index, shape, _), members in zip(table, _members(deployment, table)):
         count = counts.get(index, 0)
         area = shape.area() if shape is not None else 0.0
         density = count / area if area > 0 else math.inf
         per_sector.append(SectorStat(index=index, count=count, area=area, density=density))
-        mask = tags == index
-        sx = deployment.x[mask]
-        sy = deployment.y[mask]
-        if isinstance(shape, (Annulus, Disk)):
-            inner = shape.inner if isinstance(shape, Annulus) else 0.0
-            outer = shape.outer if isinstance(shape, Annulus) else shape.radius
-            if count >= MIN_KS_POINTS:
-                radial.append((index, radial_ks(sx, sy, inner, outer, alpha=ks_alpha)))
-            else:
-                skipped.append((index, "radial_ks", f"{count} < {MIN_KS_POINTS} points"))
-            min_areal = MIN_EXPECTED_PER_BIN * areal_shells * areal_wedges
-            if count >= min_areal:
-                areal.append(
-                    (index, areal_chi2(sx, sy, inner, outer, areal_shells, areal_wedges, alpha=chi2_alpha))
-                )
-            else:
-                skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
-        elif isinstance(shape, Rect):
-            all_circular = False
-            min_areal = MIN_EXPECTED_PER_BIN * areal_shells * areal_wedges
-            if count >= min_areal:
-                areal.append(
-                    (index, rect_chi2(sx, sy, shape, areal_shells, areal_wedges, alpha=chi2_alpha))
-                )
-            else:
-                skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
-            skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))
-        else:
+        if shape is None:
             skipped.append((index, "radial_ks", "zero-width layer"))
             skipped.append((index, "areal_chi2", "zero-width layer"))
+            continue
+        sx = deployment.x[members]
+        sy = deployment.y[members]
+        if not isinstance(shape, Rect):
+            if count >= MIN_KS_POINTS:
+                radial.append((index, radial_ks(sx, sy, shape.inner, shape.outer, alpha=ks_alpha)))
+            else:
+                skipped.append((index, "radial_ks", f"{count} < {MIN_KS_POINTS} points"))
+        if count < min_areal:
+            skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
+        elif isinstance(shape, Rect):
+            areal.append((index, rect_chi2(sx, sy, shape, areal_shells, areal_wedges, alpha=chi2_alpha)))
+        else:
+            cells = (areal_shells, areal_wedges)
+            areal.append((index, areal_chi2(sx, sy, shape.inner, shape.outer, *cells, alpha=chi2_alpha)))
+        if isinstance(shape, Rect):
+            all_circular = False
+            skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))
 
     angular = None
     if all_circular:

@@ -1,5 +1,7 @@
 import numpy as np
 
+from scatternet.sampling import fill_annulus, fill_sector
+
 
 class SequenceStream:
     """Stream stub that replays a preset variate sequence.
@@ -29,3 +31,52 @@ class SequenceStream:
     @property
     def consumed(self):
         return self._next
+
+
+def sample_annulus(inner, outer, n, stream):
+    """``n`` points drawn by the annulus fill into fresh arrays."""
+    x = np.empty(n, dtype=np.float64)
+    y = np.empty(n, dtype=np.float64)
+    fill_annulus(x, y, inner, outer, stream)
+    return x, y
+
+
+def sample_sector(shape, n, stream):
+    """``n`` points drawn by the fill for ``shape`` into fresh arrays."""
+    x = np.empty(n, dtype=np.float64)
+    y = np.empty(n, dtype=np.float64)
+    fill_sector(x, y, shape, stream)
+    return x, y
+
+
+# Plan sector objects (as JSON text) that parse but must be rejected.
+BAD_SECTORS = [
+    '{"shape": "disk", "r": 1.0, "n": 2.7}',
+    '{"shape": "disk", "r": 1.0, "n": true}',
+    '{"shape": "disk", "r": 1.0, "n": "5"}',
+    '{"shape": "disk", "r": Infinity, "n": 5}',
+    '{"shape": "disk", "r": 1e200, "n": 5}',
+    '{"shape": "annulus", "r_inner": 0.0, "r_outer": NaN, "n": 5}',
+    '{"shape": "annulus", "r_inner": "0", "r_outer": 1.0, "n": 5}',
+    '{"shape": "rect", "x0": 0, "y0": 0, "x1": 1e200, "y1": 1e200, "n": 5}',
+    '{"shape": ["disk"], "r": 1.0, "n": 5}',
+]
+
+# (key, value) replacements that make automatic run metadata invalid.
+BAD_AUTOMATIC_METADATA = [
+    ("radii", 5),
+    ("radii", "0.5"),
+    ("n_L", "layers + 1"),
+    ("n_in", 2.7),
+    ("n_in", "inner + 1"),
+    ("n_S", True),
+    ("L", float("inf")),
+]
+
+
+def corrupt_metadata(meta, key, value):
+    """``meta`` with ``key`` set to ``value``; the strings ``layers + 1`` and
+    ``inner + 1`` stand for the run's own n_L or n_in plus one."""
+    bad = dict(meta)
+    bad[key] = {"layers + 1": meta["n_L"] + 1, "inner + 1": meta["n_in"] + 1}.get(value, value)
+    return bad

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import SequenceStream
-from scatternet.automatic import _sample_annulus_block, deploy_automatic, split_nodes
+from helpers import SequenceStream, sample_annulus
+from scatternet.automatic import deploy_automatic, split_nodes
 from scatternet.cli import fit_exponent, main, time_forced_run
 from scatternet.core import NetworkConfig
 from scatternet.fileio import automatic_metadata, load_plan
@@ -54,8 +54,8 @@ def test_criterion_2_layer_count_law():
             _, pvalue = sps.chisquare(observed)
             assert pvalue > 0.001, f"n_max={n_max}: p={pvalue}"
 
-    # literal threshold scan against clamped round-to-nearest (ties down),
-    # on a million injected uniforms including exact tie points
+    # production threshold sampler against numpy's clamped round-to-nearest
+    # (ties down), on a million injected uniforms including exact tie points
     mismatches = 0
     total = 0
     for n_max in (2, 3, 5, 10):
@@ -83,7 +83,7 @@ def test_criterion_3_annulus_sampling_law(bounds):
     n = 10_000
     passes = 0
     for seed in range(100):
-        x, y = _sample_annulus_block(inner, outer, n, RandomStream(seed, 50))
+        x, y = sample_annulus(inner, outer, n, RandomStream(seed, 50))
         ok_r = radial_ks(x, y, inner, outer, alpha=0.01).passed
         ok_t = angular_chi2(x, y, bins=36, alpha=0.001).passed
         passes += ok_r and ok_t
@@ -93,7 +93,7 @@ def test_criterion_3_annulus_sampling_law(bounds):
 
 def test_criterion_4_areal_uniformity_both_outcomes():
     n = 10_000
-    x, y = _sample_annulus_block(0.5, 1.0, n, RandomStream(123, 0))
+    x, y = sample_annulus(0.5, 1.0, n, RandomStream(123, 0))
     good = areal_chi2(x, y, 0.5, 1.0, 8, 8, alpha=0.001)
     assert good.passed, f"correct sampler rejected: {good}"
 

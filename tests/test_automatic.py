@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SequenceStream
+from helpers import SequenceStream, sample_annulus
 from scatternet.automatic import (
     LayerPlan,
-    _sample_annulus_block,
     deploy_automatic,
     plan_run,
     sample_layer_count,
     sample_layer_radii,
-    sample_point_in_annulus,
     split_nodes,
 )
 from scatternet.core import ConfigError, LayerSet, NetworkConfig
@@ -104,37 +102,33 @@ class TestSampleLayerRadii:
 
 class TestSamplePointInAnnulus:
     def test_radial_boundaries_of_inverse_transform(self):
-        x, y = sample_point_in_annulus(0.5, 1.0, SequenceStream([0.0, 0.0]))
-        assert math.hypot(x, y) == pytest.approx(0.5, abs=1e-15)
-        x, y = sample_point_in_annulus(0.5, 1.0, SequenceStream([1.0 - 2**-53, 0.0]))
-        assert math.hypot(x, y) == pytest.approx(1.0, rel=1e-12)
+        x, y = sample_annulus(0.5, 1.0, 1, SequenceStream([0.0, 0.0]))
+        assert math.hypot(x[0], y[0]) == pytest.approx(0.5, abs=1e-15)
+        x, y = sample_annulus(0.5, 1.0, 1, SequenceStream([1.0 - 2**-53, 0.0]))
+        assert math.hypot(x[0], y[0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_quarter_turn_trace(self):
         # u_radial = 0.25 gives r = 0.5; u_angular = 0.25 gives theta = pi/2
-        x, y = sample_point_in_annulus(0.0, 1.0, SequenceStream([0.25, 0.25]))
-        assert abs(x - 0.0) < 1e-12
-        assert abs(y - 0.5) < 1e-12
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sample_point_in_annulus(1.0, 1.0, SequenceStream([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            sample_point_in_annulus(-0.1, 1.0, SequenceStream([0.1, 0.1]))
+        x, y = sample_annulus(0.0, 1.0, 1, SequenceStream([0.25, 0.25]))
+        assert abs(x[0] - 0.0) < 1e-12
+        assert abs(y[0] - 0.5) < 1e-12
 
     def test_area_uniform_radial_fraction(self):
         # P(r <= 0.8) on the (0.5, 1) annulus is (0.64 - 0.25) / 0.75 = 0.52
         n = 100_000
-        x, y = _sample_annulus_block(0.5, 1.0, n, RandomStream(808))
+        x, y = sample_annulus(0.5, 1.0, n, RandomStream(808))
         frac = float(np.mean(np.hypot(x, y) <= 0.8))
         assert abs(frac - 0.52) < 0.005
 
     def test_block_matches_scalar_draw_order(self):
-        n = 50
-        xb, yb = _sample_annulus_block(0.3, 0.9, n, RandomStream(17, 4))
+        # a block of n points consumes the stream exactly as n one-point
+        # fills do, across a chunk boundary of the fill
+        n = 20_000
+        xb, yb = sample_annulus(0.3, 0.9, n, RandomStream(17, 4))
         s = RandomStream(17, 4)
-        xs, ys = zip(*(sample_point_in_annulus(0.3, 0.9, s) for _ in range(n)))
-        np.testing.assert_allclose(xb, np.array(xs), rtol=0, atol=0)
-        np.testing.assert_allclose(yb, np.array(ys), rtol=0, atol=0)
+        xs, ys = zip(*(sample_annulus(0.3, 0.9, 1, s) for _ in range(n)))
+        np.testing.assert_array_equal(xb, np.concatenate(xs))
+        np.testing.assert_array_equal(yb, np.concatenate(ys))
 
     @given(
         st.floats(min_value=0.0, max_value=5.0),
@@ -144,7 +138,7 @@ class TestSamplePointInAnnulus:
     @settings(max_examples=50, deadline=None)
     def test_points_stay_inside_annulus(self, inner, width, seed):
         outer = inner + width
-        x, y = _sample_annulus_block(inner, outer, 64, RandomStream(seed))
+        x, y = sample_annulus(inner, outer, 64, RandomStream(seed))
         r = np.hypot(x, y)
         assert np.all(r >= inner * (1 - 1e-12))
         assert np.all(r <= outer * (1 + 1e-12))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import BAD_AUTOMATIC_METADATA, BAD_SECTORS, corrupt_metadata
 from scatternet.cli import main
 from scatternet.fileio import read_points
 
@@ -107,6 +108,15 @@ class TestPlanCommand:
     def test_missing_plan_file_exits_3(self, tmp_path):
         assert run_cli("plan", "--plan", tmp_path / "nope.json", "--out-dir", tmp_path) == 3
 
+    @pytest.mark.parametrize("sector", BAD_SECTORS)
+    def test_bad_sector_exits_2(self, tmp_path, capsys, sector):
+        path = tmp_path / "bad.json"
+        path.write_text(f"[{sector}]")
+        out = tmp_path / "out"
+        assert run_cli("plan", "--plan", path, "--out-dir", out) == 2
+        assert "invalid plan: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_fresh_run_validates_clean(self, tmp_path, capsys):
@@ -161,6 +171,36 @@ class TestValidateCommand:
                 "--seed", 11, "--out-dir", out)
         (out / "run_000.csv").write_text("garbage\n")
         assert run_cli("validate", out / "run_000.csv") == 3
+
+    @pytest.mark.parametrize("key,value", BAD_AUTOMATIC_METADATA)
+    def test_bad_automatic_metadata_exits_3(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out)
+        meta_path = out / "run_000.meta.json"
+        meta_path.write_text(json.dumps(corrupt_metadata(json.loads(meta_path.read_text()), key, value)))
+        assert run_cli("validate", out / "run_000.csv") == 3
+        assert "run_000.meta.json: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan", [5, [], "[]", [{"shape": "disk", "r": 1.0, "n": 2.5}]])
+    def test_bad_planned_metadata_exits_3(self, tmp_path, capsys, two_annulus_plan, plan):
+        out = tmp_path / "out"
+        run_cli("plan", "--plan", two_annulus_plan, "--seed", 5, "--out-dir", out)
+        meta_path = out / "run_000.meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "plan": plan}))
+        assert run_cli("validate", out / "run_000.csv") == 3
+        assert capsys.readouterr().err
+
+    def test_nonpositive_sector_tag_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out)
+        path = out / "run_000.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",0"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("validate", path) == 3
+        assert "sector tags" in capsys.readouterr().err
 
     def test_json_points_validate(self, tmp_path):
         out = tmp_path / "out"

@@ -1,10 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import BAD_AUTOMATIC_METADATA, BAD_SECTORS, corrupt_metadata
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.fileio import (
@@ -136,6 +139,22 @@ class TestMetadata:
         with pytest.raises(FormatError, match="missing"):
             deployment_from_files(tmp_path / "run.csv", tmp_path / "run.meta.json")
 
+    @pytest.mark.parametrize("key,value", BAD_AUTOMATIC_METADATA)
+    def test_inconsistent_automatic_metadata_rejected(self, tmp_path, key, value):
+        cfg = NetworkConfig(radius=1.0, max_layers=5, nodes=100, seed=3)
+        d = deploy_automatic(cfg, RandomStream(3, 0))
+        write_points(tmp_path / "run.csv", d)
+        write_metadata(tmp_path / "run.meta.json", corrupt_metadata(automatic_metadata(d, run=0), key, value))
+        with pytest.raises(FormatError, match="run.meta.json"):
+            deployment_from_files(tmp_path / "run.csv", tmp_path / "run.meta.json")
+
+    @pytest.mark.parametrize("plan", [5, [], {"shape": "disk"}])
+    def test_planned_metadata_needs_a_sector_list(self, tmp_path, plan):
+        (tmp_path / "run.csv").write_text("x,y,sector\n0.0,0.0,1\n")
+        write_metadata(tmp_path / "run.meta.json", {"seed": 0, "run": 0, "plan": plan})
+        with pytest.raises(FormatError, match="array"):
+            deployment_from_files(tmp_path / "run.csv", tmp_path / "run.meta.json")
+
     def test_unrecognized_metadata_rejected(self, tmp_path):
         (tmp_path / "run.csv").write_text("x,y,sector\n0.0,0.0,1\n")
         write_metadata(tmp_path / "run.meta.json", {"whatever": 1})
@@ -173,6 +192,13 @@ class TestPlanFiles:
         with pytest.raises(FormatError, match="sector 1"):
             load_plan(path)
 
+    @pytest.mark.parametrize("sector", BAD_SECTORS)
+    def test_bad_sector_rejected(self, tmp_path, sector):
+        path = tmp_path / "plan.json"
+        path.write_text(f"[{sector}]")
+        with pytest.raises(FormatError, match="sector 1: "):
+            load_plan(path)
+
     def test_non_array_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{}")
@@ -181,6 +207,68 @@ class TestPlanFiles:
         path.write_text("not json")
         with pytest.raises(FormatError):
             load_plan(path)
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(FormatError):
+            load_plan(path)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+numberish = st.integers(-2, 400) | st.floats(-2.0, 3.0) | json_scalars
+sector_objects = st.fixed_dictionaries(
+    {"shape": st.sampled_from(["annulus", "disk", "rect", "hexagon"])},
+    optional={key: numberish for key in ("r", "r_inner", "r_outer", "x0", "y0", "x1", "y1", "n")},
+)
+plan_values = st.lists(sector_objects | json_values, max_size=4) | json_values
+VALID_META = {"L": 1.0, "n_Lmax": 3, "n_S": 10, "seed": 1, "run": 0, "n_L": 2, "radii": [0.5], "n_in": 5, "n_out": 5}
+meta_values = (
+    st.builds(
+        lambda key, value: {**VALID_META, key: value},
+        st.sampled_from(sorted(VALID_META)),
+        numberish | st.lists(numberish, max_size=3) | json_values,
+    )
+    | st.fixed_dictionaries({"seed": numberish, "run": numberish, "plan": plan_values})
+    | json_values
+)
+
+
+class TestParsersNeverCrash:
+    """Any JSON value parses to a valid object or raises FormatError."""
+
+    @given(plan_values)
+    @settings(max_examples=300, deadline=None)
+    def test_load_plan(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plan.json"
+            path.write_text(json.dumps(value))
+            try:
+                plan = load_plan(path)
+            except FormatError:
+                return
+        assert isinstance(plan, DeploymentPlan)
+        for sector in plan.sectors:
+            assert type(sector.count) is int and sector.count >= 1
+            assert 0 < sector.shape.area() < math.inf
+
+    @given(meta_values)
+    @settings(max_examples=300, deadline=None)
+    def test_deployment_from_files(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            points_path = Path(tmp) / "run.csv"
+            meta_path = Path(tmp) / "run.meta.json"
+            points_path.write_text("x,y,sector\n0.0,0.0,1\n")
+            meta_path.write_text(json.dumps(value))
+            try:
+                d = deployment_from_files(points_path, meta_path)
+            except FormatError:
+                return
+        assert isinstance(d, Deployment)
+        if d.plan is None:
+            assert d.inner_count + (d.layer_set.layer_count - 1) * d.outer_count == d.config.nodes
 
 
 class TestPlotData:

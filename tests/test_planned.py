@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import SequenceStream
+from helpers import SequenceStream, sample_sector
 from scatternet.core import Annulus, Disk, Rect, Sector
 from scatternet.planned import (
     DeploymentPlan,
     OverlapError,
     check_non_overlap,
     deploy_planned,
-    sample_point_in_sector,
 )
 from scatternet.rng import RandomStream
 from scatternet.stats import count_per_sector, empirical_density_profile, radial_ks
@@ -65,17 +64,25 @@ class TestCheckNonOverlap:
 
 class TestSamplePointInSector:
     def test_rect_affine_map(self):
-        x, y = sample_point_in_sector(Sector(Rect(0, 0, 1, 1), 1), SequenceStream([0.3, 0.8]))
-        assert (x, y) == (0.3, 0.8)
+        x, y = sample_sector(Rect(0, 0, 1, 1), 1, SequenceStream([0.3, 0.8]))
+        assert (x[0], y[0]) == (0.3, 0.8)
 
     def test_rect_offset_and_scale(self):
-        x, y = sample_point_in_sector(Sector(Rect(1, 2, 3, 6), 1), SequenceStream([0.5, 0.25]))
-        assert (x, y) == (2.0, 3.0)
+        x, y = sample_sector(Rect(1, 2, 3, 6), 1, SequenceStream([0.5, 0.25]))
+        assert (x[0], y[0]) == (2.0, 3.0)
 
     def test_disk_reduces_to_annulus_sampling(self):
-        a = sample_point_in_sector(Sector(Disk(2.0), 1), SequenceStream([0.36, 0.125]))
-        b = sample_point_in_sector(Sector(Annulus(0.0, 2.0), 1), SequenceStream([0.36, 0.125]))
-        assert a == b
+        a = sample_sector(Disk(2.0), 1, SequenceStream([0.36, 0.125]))
+        b = sample_sector(Annulus(0.0, 2.0), 1, SequenceStream([0.36, 0.125]))
+        np.testing.assert_array_equal(a, b)
+
+    def test_rect_block_is_the_affine_map_of_the_stream(self):
+        # across the fill's chunk boundary, x and y take alternate variates
+        n = 40_000
+        x, y = sample_sector(Rect(1, 2, 3, 6), n, RandomStream(6, 1))
+        u = RandomStream(6, 1).uniform_block(2 * n)
+        np.testing.assert_array_equal(x, 1 + u[0::2] * 2)
+        np.testing.assert_array_equal(y, 2 + u[1::2] * 4)
 
     def test_rect_marginal_fraction(self):
         # uniform on rect(0,0,2,1): P(x <= 0.5) = 0.25
@@ -170,9 +177,7 @@ class TestDeployPlanned:
         )
         # the solo plan's only sector sits at position 1, so regenerate the
         # original position-2 stream directly instead
-        from scatternet.planned import _sample_sector_block
-
-        x, y = _sample_sector_block(plan.sectors[1], 40, RandomStream(21, 0).substream(2))
+        x, y = sample_sector(plan.sectors[1].shape, 40, RandomStream(21, 0).substream(2))
         np.testing.assert_array_equal(full.x[full.sector == 2], x)
         np.testing.assert_array_equal(full.y[full.sector == 2], y)
         assert not np.array_equal(solo.x, x)  # different position, different stream

@@ -81,36 +81,14 @@ class TestRandomStream:
         )
 
 
-class TestUniformReal:
-    def test_zero_one_is_identity(self):
-        a = RandomStream(1).uniform01()
-        b = RandomStream(1).uniform_real(0.0, 1.0)
-        assert a == b
-
-    def test_range(self):
-        s = RandomStream(8)
-        draws = [s.uniform_real(0.0, 2.5) for _ in range(1000)]
-        assert all(0.0 <= v < 2.5 for v in draws)
-
-    def test_rejects_empty_interval(self):
-        s = RandomStream(0)
-        with pytest.raises(ValueError):
-            s.uniform_real(1.0, 1.0)
-        with pytest.raises(ValueError):
-            s.uniform_real_block(2.0, 1.0, 5)
-
-    def test_empirical_cdf_matches_line(self):
-        # KS of 1e4 draws on (2, 5) against (x - 2) / 3 at alpha = 0.01
-        n = 10_000
-        draws = np.sort(RandomStream(77).uniform_real_block(2.0, 5.0, n))
-        cdf = (draws - 2.0) / 3.0
-        steps = np.arange(1, n + 1) / n
-        ks = max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))
-        assert ks < 1.63 / math.sqrt(n)
-
-
-def _round_half_down_clamped(v: float, n_max: int) -> int:
-    return int(min(max(math.ceil(v - 0.5), 2), n_max))
+def _literal_scan(u: float, n_max: int) -> int:
+    """Oracle: the threshold scan that defines the sampler, the smallest i
+    in {2, ..., n_max} with v - i <= 1/2, where v = 3/2 + u * (n_max - 1)."""
+    v = 1.5 + u * (n_max - 1)
+    for i in range(2, n_max + 1):
+        if v - i <= 0.5:
+            return i
+    return n_max
 
 
 class TestThresholdSampler:
@@ -155,12 +133,21 @@ class TestThresholdSampler:
         _, pvalue = sps.chisquare(observed)
         assert pvalue > 0.001
 
-    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(2, 50))
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(2, 10_000))
     @settings(max_examples=300)
     def test_literal_scan_equals_clamped_rounding(self, u, n_max):
-        result = discrete_uniform_via_threshold(SequenceStream([u]), n_max)
-        v = 1.5 + u * (n_max - 1)
-        assert result == _round_half_down_clamped(v, n_max)
+        assert discrete_uniform_via_threshold(SequenceStream([u]), n_max) == _literal_scan(u, n_max)
+
+    def test_literal_scan_equals_clamped_rounding_at_every_tie(self):
+        # u = (k - 1) / (n_max - 1) puts v on k + 1/2 up to rounding, the
+        # tie between k and k + 1; one ulp either side of u as well
+        for n_max in (2, 3, 5, 10, 97, 1000):
+            for k in range(1, n_max + 1):
+                tie = (k - 1) / (n_max - 1)
+                for u in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, 1.0)):
+                    if 0.0 <= u < 1.0:
+                        got = discrete_uniform_via_threshold(SequenceStream([u]), n_max)
+                        assert got == _literal_scan(u, n_max), (u, n_max)
 
     def test_exact_half_ties_round_down(self):
         # v = 3.5 exactly: the scan accepts i = 3, not 4

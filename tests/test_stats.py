@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from scatternet.automatic import _sample_annulus_block, deploy_automatic
+from helpers import sample_annulus
+from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.planned import DeploymentPlan, deploy_planned
 from scatternet.rng import RandomStream
@@ -63,7 +64,7 @@ class TestRadialKs:
         n = 10_000
         passes = 0
         for seed in range(100):
-            x, y = _sample_annulus_block(0.5, 1.0, n, RandomStream(seed, 2))
+            x, y = sample_annulus(0.5, 1.0, n, RandomStream(seed, 2))
             if radial_ks(x, y, 0.5, 1.0, alpha=0.01).passed:
                 passes += 1
         assert passes >= 99
@@ -91,19 +92,19 @@ class TestRadialKs:
             radial_ks(np.ones(29), np.zeros(29), 0.5, 1.5)
 
     def test_critical_value_matches_asymptotic_constant(self):
-        x, y = _sample_annulus_block(0.0, 1.0, 10_000, RandomStream(0, 0))
+        x, y = sample_annulus(0.0, 1.0, 10_000, RandomStream(0, 0))
         result = radial_ks(x, y, 0.0, 1.0, alpha=0.01)
         assert result.threshold == pytest.approx(1.628 / 100.0, abs=2e-5)
 
     def test_statistic_agrees_with_scipy(self):
-        x, y = _sample_annulus_block(0.3, 0.7, 500, RandomStream(5, 0))
+        x, y = sample_annulus(0.3, 0.7, 500, RandomStream(5, 0))
         mine = radial_ks(x, y, 0.3, 0.7).statistic
         r = np.hypot(x, y)
         reference = sps.kstest(r, lambda v: (v**2 - 0.09) / (0.49 - 0.09)).statistic
         assert mine == pytest.approx(float(reference), abs=1e-12)
 
     def test_depends_only_on_radii(self):
-        x, y = _sample_annulus_block(0.5, 1.0, 1000, RandomStream(8, 0))
+        x, y = sample_annulus(0.5, 1.0, 1000, RandomStream(8, 0))
         r = np.hypot(x, y)
         direct = radial_ks(x, y, 0.5, 1.0)
         collapsed = radial_ks(r, np.zeros_like(r), 0.5, 1.0)
@@ -112,7 +113,7 @@ class TestRadialKs:
 
 class TestAngularChi2:
     def test_correct_sampler_passes(self):
-        x, y = _sample_annulus_block(0.0, 1.0, 10_000, RandomStream(13, 0))
+        x, y = sample_annulus(0.0, 1.0, 10_000, RandomStream(13, 0))
         assert angular_chi2(x, y, bins=36, alpha=0.001).passed
 
     def test_concentrated_angles_fail(self):
@@ -130,7 +131,7 @@ class TestAngularChi2:
             angular_chi2(np.ones(100), np.zeros(100), bins=36)
 
     def test_depends_only_on_angles(self):
-        x, y = _sample_annulus_block(0.5, 1.0, 1000, RandomStream(8, 1))
+        x, y = sample_annulus(0.5, 1.0, 1000, RandomStream(8, 1))
         direct = angular_chi2(x, y, bins=12)
         # halving both coordinates is exact in floating point and keeps
         # every angle bit-identical
@@ -138,7 +139,7 @@ class TestAngularChi2:
         assert direct.statistic == scaled.statistic
 
     def test_dof(self):
-        x, y = _sample_annulus_block(0.0, 1.0, 1000, RandomStream(2, 0))
+        x, y = sample_annulus(0.0, 1.0, 1000, RandomStream(2, 0))
         assert angular_chi2(x, y, bins=10).dof == 9
 
 
@@ -151,7 +152,7 @@ class TestArealChi2:
         np.testing.assert_allclose(areas, areas[0])
 
     def test_correct_sampler_passes(self):
-        x, y = _sample_annulus_block(0.5, 1.0, 10_000, RandomStream(40, 0))
+        x, y = sample_annulus(0.5, 1.0, 10_000, RandomStream(40, 0))
         result = areal_chi2(x, y, 0.5, 1.0, 8, 8, alpha=0.001)
         assert result.passed
         assert result.dof == 63
@@ -183,7 +184,7 @@ class TestHonestTestSizes:
         ang_passes = 0
         areal_passes = 0
         for seed in range(trials):
-            x, y = _sample_annulus_block(0.3, 1.0, n, RandomStream(seed, 3))
+            x, y = sample_annulus(0.3, 1.0, n, RandomStream(seed, 3))
             ks_passes += radial_ks(x, y, 0.3, 1.0, alpha=0.01).passed
             ang_passes += angular_chi2(x, y, bins=36, alpha=0.001).passed
             areal_passes += areal_chi2(x, y, 0.3, 1.0, 8, 8, alpha=0.001).passed
