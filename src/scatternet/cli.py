@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -42,9 +43,26 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 
+POINT_BYTES = 24  # per point: x and y as float64 and an int64 sector tag
+
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(points: int) -> None:
+    """Refuse a run whose point arrays alone would not fit in physical memory,
+    before anything is allocated."""
+    need = points * POINT_BYTES
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(
+            [f"{points} points need {need} bytes, more than the {have} bytes of physical memory"]
+        )
 
 
 def _write_run(out_dir: Path, run: int, deployment, meta: dict, fmt: str, plot_data: bool) -> Path:
@@ -62,6 +80,7 @@ def _automatic(args):
     config = validate_config(
         NetworkConfig(radius=args.size, max_layers=args.max_layers, nodes=args.nodes, seed=args.seed)
     )
+    _require_memory(config.nodes)
     return (
         lambda stream: deploy_automatic(config, stream),
         lambda deployment, run: automatic_metadata(deployment, run),
@@ -77,6 +96,7 @@ def _planned(args):
         raise OverlapError(check.message)
     if not 0 <= args.seed <= MAX_UINT64:
         raise ConfigError([f"seed must fit in an unsigned 64-bit integer, got {args.seed}"])
+    _require_memory(plan.total_nodes)
     return (
         lambda stream: deploy_planned(plan, stream),
         lambda deployment, run: planned_metadata(deployment, run, args.seed),
@@ -165,6 +185,9 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not 0 < args.alpha < 1:  # also rejects nan
+        _err(f"invalid configuration: alpha must lie strictly between 0 and 1, got {args.alpha}")
+        return EXIT_CONFIG
     codes = []
     for name in args.files:
         try:

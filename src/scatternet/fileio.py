@@ -39,10 +39,6 @@ class FormatError(ValueError):
     """A file does not conform to its declared schema."""
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _number(value, what: str) -> float:
     """``value`` as a float, if it is a finite JSON number (not a boolean)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -64,37 +60,86 @@ def _load_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+# Points layouts: a file is ``head + sep.join(rows) + tail``, one ``row`` per
+# point.  Floats are written by ``repr`` (shortest round-trip, what
+# ``json.dumps`` writes for finite floats), tags as integers.
+_LAYOUTS = {
+    "csv": (POINTS_HEADER, "\n{!r},{!r},{}", "", "\n"),
+    "json": ('{"columns": ["x", "y", "sector"], "points": [', "[{!r}, {!r}, {}]", ", ", "]}\n"),
+    "xy": ("", "{!r} {!r} {}", "\n", "\n"),
+}
+_ROW_CHUNK = 1 << 14
+
+
+def _stream_points(path, deployment: Deployment, layout: str) -> None:
+    """Write the point set in ``layout``, formatting ``_ROW_CHUNK`` rows at a
+    time, so memory beyond the point arrays stays bounded by the chunk."""
+    head, row, sep, tail = _LAYOUTS[layout]
+    x, y, sector = deployment.x, deployment.y, deployment.sector
+    n = min(x.size, sector.size)  # a short (malformed) sector column ends the rows
+    with Path(path).open("w") as handle:
+        handle.write(head)
+        for start in range(0, n, _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, n)
+            if start:
+                handle.write(sep)
+            handle.write(sep.join(map(
+                row.format, x[start:stop].tolist(), y[start:stop].tolist(), sector[start:stop].tolist()
+            )))
+        handle.write(tail)
+
+
 def write_points(path, deployment: Deployment, fmt: str = "csv") -> None:
-    """Write the point set as CSV (``x,y,sector`` rows) or JSON."""
-    path = Path(path)
-    rows = zip(deployment.x, deployment.y, deployment.sector)
-    if fmt == "csv":
-        lines = [POINTS_HEADER]
-        lines.extend(f"{_fmt(x)},{_fmt(y)},{int(s)}" for x, y, s in rows)
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        payload = {
-            "columns": ["x", "y", "sector"],
-            "points": [[float(x), float(y), int(s)] for x, y, s in rows],
-        }
-        path.write_text(json.dumps(payload) + "\n")
-    else:
+    """Write the point set as CSV (``x,y,sector`` rows) or JSON.
+
+    JSON has no spelling for non-finite numbers, so JSON output requires
+    finite coordinates.
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown points format {fmt!r}")
+    if fmt == "json" and not (np.isfinite(deployment.x).all() and np.isfinite(deployment.y).all()):
+        raise ValueError("JSON points need finite coordinates")
+    _stream_points(path, deployment, fmt)
+
+
+# (accepted Python types, array dtype) of the three points JSON columns
+_JSON_COLUMNS = (({int, float}, np.float64), ({int, float}, np.float64), ({int}, np.int64))
+
+
+def _json_column(rows, column: int, types: set, dtype):
+    """Column ``column`` of the rows as a finite ``dtype`` array, or None if
+    any value has another type or does not fit.  Type sets over whole
+    columns keep the check cheap at a million points."""
+    values = [row[column] for row in rows]
+    if not set(map(type, values)) <= types:
+        return None
+    try:
+        array = np.fromiter(values, dtype=dtype, count=len(values))
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _json_points(path):
+    """Arrays of a points JSON file whose every point is ``[x, y, sector]``:
+    two finite JSON numbers and a JSON integer (not a boolean)."""
+    payload = _load_json(path)
+    rows = payload.get("points") if isinstance(payload, dict) else None
+    if isinstance(rows, list) and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
+        columns = [_json_column(rows, i, types, dtype) for i, (types, dtype) in enumerate(_JSON_COLUMNS)]
+        if not any(column is None for column in columns):
+            return tuple(columns)
+    raise FormatError(
+        f"{path}: expected a \"points\" array of [x, y, sector] rows: "
+        f"two finite numbers and an integer"
+    )
 
 
 def read_points(path):
     """Read a points file (CSV or JSON, judged by suffix) back into arrays."""
     path = Path(path)
     if path.suffix == ".json":
-        try:
-            payload = json.loads(path.read_text())
-            triples = payload["points"]
-            x = np.array([p[0] for p in triples], dtype=np.float64)
-            y = np.array([p[1] for p in triples], dtype=np.float64)
-            sector = np.array([int(p[2]) for p in triples], dtype=np.int64)
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: not a valid points JSON file ({exc})") from exc
-        return x, y, sector
+        return _json_points(path)
     text = path.read_text()
     lines = text.splitlines()
     if not lines or lines[0].strip() != POINTS_HEADER:
@@ -264,16 +309,11 @@ def write_plot_data(xy_path, rings_path, deployment: Deployment) -> None:
     The rings file lists the interior layer radii followed by the outer
     radius; it is only written for automatic deployments.
     """
-    xy_path = Path(xy_path)
-    lines = [
-        f"{_fmt(x)} {_fmt(y)} {int(s)}"
-        for x, y, s in zip(deployment.x, deployment.y, deployment.sector)
-    ]
-    xy_path.write_text("\n".join(lines) + "\n")
+    _stream_points(xy_path, deployment, "xy")
     if deployment.layer_set is not None and rings_path is not None:
         ls = deployment.layer_set
         radii = list(ls.boundaries) + [ls.radius]
-        Path(rings_path).write_text("\n".join(_fmt(r) for r in radii) + "\n")
+        Path(rings_path).write_text("\n".join(repr(float(r)) for r in radii) + "\n")
 
 
 def write_report(path, report) -> None:

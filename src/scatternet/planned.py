@@ -9,6 +9,7 @@ by any sector is intentionally left empty.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -107,18 +108,25 @@ def _shapes_overlap(a, b) -> bool:
     return dmin < interval[1] and dmax > interval[0]
 
 
-def check_non_overlap(sectors) -> OverlapCheck:
-    """Scan all sector pairs for interior intersection.
-
-    Returns an :class:`OverlapCheck` naming the first offending pair (by
-    1-based plan position) if any.
-    """
-    sectors = list(sectors)
+@functools.lru_cache(maxsize=1)
+def _scan_pairs(sectors: tuple) -> OverlapCheck:
+    # One cached result: the CLI checks a plan up front and again in every
+    # run's ``deploy_planned``, and the scan is O(k^2) in the sector count.
     for i in range(len(sectors)):
         for j in range(i + 1, len(sectors)):
             if _shapes_overlap(sectors[i].shape, sectors[j].shape):
                 return OverlapCheck(ok=False, pair=(i + 1, j + 1))
     return OverlapCheck(ok=True)
+
+
+def check_non_overlap(sectors) -> OverlapCheck:
+    """Scan all sector pairs for interior intersection.
+
+    Returns an :class:`OverlapCheck` naming the first offending pair (by
+    1-based plan position) if any.  The result for the most recent sector
+    sequence is remembered, so checking the same plan again costs no scan.
+    """
+    return _scan_pairs(tuple(sectors))
 
 
 def deploy_planned(plan: DeploymentPlan, stream) -> Deployment:

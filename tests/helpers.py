@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from scatternet.sampling import fill_annulus, fill_sector
@@ -80,3 +82,53 @@ def corrupt_metadata(meta, key, value):
     bad = dict(meta)
     bad[key] = {"layers + 1": meta["n_L"] + 1, "inner + 1": meta["n_in"] + 1}.get(value, value)
     return bad
+
+
+# Points rows (as JSON text) that a strict points reader must reject.
+BAD_JSON_POINTS = [
+    "[0.5, 0.5, 2.7]",
+    "[0.5, 0.5, true]",
+    '[0.5, 0.5, "3"]',
+    "[0.5, 0.5, null]",
+    "[0.5, 0.5, 1e400]",
+    "[0.5, 0.5, 99999999999999999999]",
+    '["0.5", 0.5, 1]',
+    "[0.5, false, 1]",
+    "[NaN, 0.5, 1]",
+    "[0.5, -Infinity, 1]",
+    "[1e400, 0.5, 1]",
+    "[0.5, 0.5, 1, 7]",
+    "[0.5, 0.5]",
+    '{"x": 0.5, "y": 0.5, "sector": 1}',
+    '"0.5,0.5,1"',
+    "1",
+]
+
+
+def with_json_point(text, row):
+    """Points JSON ``text`` with ``row`` inserted as its first point."""
+    return text.replace('"points": [', f'"points": [{row}, ', 1)
+
+
+# The one-shot points formatters the streamed writer replaced: the oracle
+# for its bytes.
+def csv_text(d):
+    lines = ["x,y,sector"]
+    lines.extend(f"{repr(float(x))},{repr(float(y))},{int(s)}" for x, y, s in zip(d.x, d.y, d.sector))
+    return "\n".join(lines) + "\n"
+
+
+def json_text(d):
+    payload = {
+        "columns": ["x", "y", "sector"],
+        "points": [[float(x), float(y), int(s)] for x, y, s in zip(d.x, d.y, d.sector)],
+    }
+    return json.dumps(payload) + "\n"
+
+
+def xy_text(d):
+    lines = [f"{repr(float(x))} {repr(float(y))} {int(s)}" for x, y, s in zip(d.x, d.y, d.sector)]
+    return "\n".join(lines) + "\n"
+
+
+ORACLES = {"csv": csv_text, "json": json_text, "xy": xy_text}

@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import BAD_AUTOMATIC_METADATA, BAD_SECTORS, corrupt_metadata
+from helpers import BAD_AUTOMATIC_METADATA, BAD_JSON_POINTS, BAD_SECTORS, corrupt_metadata, with_json_point
+from scatternet import cli, planned
 from scatternet.cli import main
 from scatternet.fileio import read_points
+
+PLANS = Path(__file__).parent.parent / "plans"
 
 
 def run_cli(*argv):
@@ -50,6 +54,21 @@ class TestDeployCommand:
         code = run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 100,
                        "--runs", 0, "--out-dir", tmp_path)
         assert code == 2
+
+    def test_too_many_nodes_exits_2_before_allocating(self, tmp_path, capsys):
+        assert 10**30 * cli.POINT_BYTES > cli._physical_memory()
+        out = tmp_path / "out"
+        code = run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 10**30, "--out-dir", out)
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("memory,code", [(100 * 24 - 1, 2), (100 * 24, 0)])
+    def test_size_guard_compares_the_estimate_with_memory(self, tmp_path, monkeypatch, memory, code):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        out = tmp_path / "out"
+        assert run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 100, "--out-dir", out) == code
+        assert out.exists() == (code == 0)
 
     def test_runs_use_distinct_streams(self, tmp_path):
         out = tmp_path / "out"
@@ -104,6 +123,23 @@ class TestPlanCommand:
         code = run_cli("plan", "--plan", path, "--out-dir", tmp_path / "out")
         assert code == 2
         assert "sector 1" in capsys.readouterr().err
+
+    def test_huge_quota_exits_2_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([{"shape": "disk", "r": 1.0, "n": 10**30}]))
+        out = tmp_path / "out"
+        assert run_cli("plan", "--plan", path, "--out-dir", out) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overlap_scan_runs_once_per_invocation(self, tmp_path, monkeypatch):
+        pairs = []
+        overlap = planned._shapes_overlap
+        monkeypatch.setattr(planned, "_shapes_overlap", lambda a, b: pairs.append((a, b)) or overlap(a, b))
+        planned._scan_pairs.cache_clear()
+        code = run_cli("plan", "--plan", PLANS / "mixed_demo.json", "--runs", 3, "--out-dir", tmp_path / "out")
+        assert code == 0
+        assert len(pairs) == 3  # one scan over the plan's three sector pairs
 
     def test_missing_plan_file_exits_3(self, tmp_path):
         assert run_cli("plan", "--plan", tmp_path / "nope.json", "--out-dir", tmp_path) == 3
@@ -201,6 +237,25 @@ class TestValidateCommand:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("validate", path) == 3
         assert "sector tags" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", BAD_JSON_POINTS)
+    def test_bad_json_point_exits_3(self, tmp_path, capsys, row):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out, "--format", "json")
+        path = out / "run_000.json"
+        path.write_text(with_json_point(path.read_text(), row))
+        assert run_cli("validate", path) == 3
+        assert "run_000.json: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out)
+        assert run_cli("validate", "--alpha", alpha, out / "run_000.csv") == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not (out / "run_000.report.json").exists()
 
     def test_json_points_validate(self, tmp_path):
         out = tmp_path / "out"

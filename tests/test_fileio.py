@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import BAD_AUTOMATIC_METADATA, BAD_SECTORS, corrupt_metadata
+from helpers import (
+    BAD_AUTOMATIC_METADATA,
+    BAD_JSON_POINTS,
+    BAD_SECTORS,
+    ORACLES,
+    corrupt_metadata,
+    with_json_point,
+)
+from scatternet import fileio
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.fileio import (
@@ -93,10 +101,55 @@ class TestPointsRoundTrip:
         with pytest.raises(FormatError):
             read_points(path)
 
+    @pytest.mark.parametrize("row", BAD_JSON_POINTS)
+    def test_bad_json_point_rejected(self, tmp_path, row):
+        path = tmp_path / "p.json"
+        write_points(path, tiny_deployment([0.5, -0.25], [0.125, 1.0], [1, 2]), fmt="json")
+        path.write_text(with_json_point(path.read_text(), row))
+        with pytest.raises(FormatError, match="p.json: "):
+            read_points(path)
+
+    def test_json_integer_coordinates_accepted(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"columns": ["x", "y", "sector"], "points": [[0, -1, 2], [0.5, 3, 1]]}')
+        x, y, sector = read_points(path)
+        assert x.tolist() == [0.0, 0.5] and y.tolist() == [-1.0, 3.0] and sector.tolist() == [2, 1]
+
+    def test_json_needs_finite_coordinates(self, tmp_path):
+        d = tiny_deployment([0.5, float("nan")], [0.0, 0.0], [1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            write_points(tmp_path / "p.json", d, fmt="json")
+
     def test_unknown_format(self, tmp_path):
         d = tiny_deployment([0.0], [0.0], [1])
         with pytest.raises(ValueError):
             write_points(tmp_path / "p.xml", d, fmt="xml")
+
+
+CHUNK = fileio._ROW_CHUNK
+
+
+def spread_deployment(n, seed):
+    """``n`` points whose coordinates span many magnitudes and both signs."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-300, 300, size=(2, n))
+    return tiny_deployment(rng.standard_normal(n) * scale[0], rng.standard_normal(n) * scale[1],
+                           rng.integers(1, 10**6, size=n))
+
+
+class TestStreamedWriter:
+    """Every layout, streamed in chunks, is byte for byte the one-shot text."""
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("layout", sorted(ORACLES))
+    def test_bytes_equal_one_shot_text(self, tmp_path, layout, size):
+        d = spread_deployment(size, seed=size)
+        path = tmp_path / f"points.{layout}"
+        if layout == "xy":
+            write_plot_data(path, None, d)
+        else:
+            write_points(path, d, fmt=layout)
+        assert path.read_bytes() == ORACLES[layout](d).encode()
 
 
 class TestMetadata:

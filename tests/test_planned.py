@@ -62,6 +62,12 @@ class TestCheckNonOverlap:
         assert check.pair == (1, 3)
 
 
+    def test_remembered_result_belongs_to_its_plan(self):
+        apart = sectors((Rect(0, 0, 1, 1), 1), (Rect(2, 2, 3, 3), 1))
+        crossing = sectors((Rect(0, 0, 2, 2), 1), (Rect(1, 1, 3, 3), 1))
+        assert [check_non_overlap(s).ok for s in (apart, apart, crossing, apart)] == [True, True, False, True]
+
+
 class TestSamplePointInSector:
     def test_rect_affine_map(self):
         x, y = sample_sector(Rect(0, 0, 1, 1), 1, SequenceStream([0.3, 0.8]))
