@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Deployment, LayerSet, NetworkConfig, validate_config
+from .core import Annulus, Circle, Deployment, Disk, LayerSet, NetworkConfig, Sector, validate_config
+from .planned import DeploymentPlan
 from .rng import discrete_uniform_via_threshold
-from .sampling import fill_annulus, fill_in_order
+from .sampling import fill_in_order
 
 __all__ = [
     "LayerPlan",
@@ -52,6 +53,19 @@ class LayerPlan:
     @property
     def total_nodes(self) -> int:
         return self.inner_count + (self.layer_count - 1) * self.outer_count
+
+    def as_plan(self) -> DeploymentPlan:
+        """The layers as sectors, innermost first: a disk, then annuli; two
+        equal radii make a zero-width :class:`Circle` of area 0."""
+        edges = (0.0, *self.layer_set.boundaries, self.layer_set.radius)
+        sectors = []
+        for inner, outer in zip(edges, edges[1:]):
+            if inner == outer:
+                shape = Circle(inner)
+            else:
+                shape = Annulus(inner, outer) if inner > 0 else Disk(outer)
+            sectors.append(Sector(shape, self.outer_count if sectors else self.inner_count))
+        return DeploymentPlan(sectors=tuple(sectors))
 
 
 def sample_layer_count(max_layers: int, stream) -> int:
@@ -137,19 +151,9 @@ def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -
     -------
     Deployment
         Exactly ``config.nodes`` points tagged with their 1-based layer
-        index, plus the resolved layer geometry and node quotas.
+        index, plus the layers and their node quotas as a sector plan.
     """
-    plan = plan_run(config, stream, force_layer_count)
-    quotas = [plan.inner_count] + [plan.outer_count] * (plan.layer_count - 1)
-    x, y, tags = fill_in_order(
-        quotas, lambda layer, xs, ys: fill_annulus(xs, ys, *plan.layer_set.bounds(layer), stream)
-    )
-    return Deployment(
-        x=x,
-        y=y,
-        sector=tags,
-        config=config,
-        layer_set=plan.layer_set,
-        inner_count=plan.inner_count,
-        outer_count=plan.outer_count,
-    )
+    plan = plan_run(config, stream, force_layer_count).as_plan()
+    # Layers cannot overlap, so no overlap scan; all draw from the one stream.
+    x, y, tags = fill_in_order(plan.sectors, lambda layer: stream)
+    return Deployment(x=x, y=y, sector=tags, config=config, plan=plan)

@@ -50,6 +50,12 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _invalid(exc: ConfigError) -> int:
+    for violation in exc.violations:
+        _err(f"invalid configuration: {violation}")
+    return EXIT_CONFIG
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -119,9 +125,7 @@ def cmd_generate(args) -> int:
         _err(f"invalid plan: {exc}")
         return EXIT_CONFIG
     except ConfigError as exc:
-        for violation in exc.violations:
-            _err(f"invalid configuration: {violation}")
-        return EXIT_CONFIG
+        return _invalid(exc)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -230,9 +234,13 @@ def cmd_bench(args) -> int:
     if not ns_ladder or not nl_ladder or args.repeats < 1:
         _err("invalid configuration: ladders must be non-empty and repeats at least 1")
         return EXIT_CONFIG
-    if any(n < args.bench_layers for n in ns_ladder) or any(args.nodes < nl for nl in nl_ladder):
-        _err("invalid configuration: every swept node count must be >= the layer bound it runs with")
-        return EXIT_CONFIG
+    points = [(nodes, args.bench_layers) for nodes in ns_ladder] + [(args.nodes, nl) for nl in nl_ladder]
+    try:  # every ladder point, before anything is timed or allocated
+        for nodes, layers in points:
+            validate_config(NetworkConfig(radius=args.size, max_layers=layers, nodes=nodes, seed=args.seed))
+        _require_memory(max(nodes for nodes, _ in points))
+    except ConfigError as exc:
+        return _invalid(exc)
     out_dir = Path(args.out_dir)
     rows = []
     try:

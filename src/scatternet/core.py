@@ -21,6 +21,7 @@ __all__ = [
     "Annulus",
     "Disk",
     "Rect",
+    "Circle",
     "Shape",
     "Sector",
     "Deployment",
@@ -206,7 +207,33 @@ class Rect:
         return (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
 
 
-Shape = Union[Annulus, Disk, Rect]
+@dataclass(frozen=True)
+class Circle:
+    """Origin-centered circle of radius ``radius``: a zero-width layer.
+
+    It arises only from two equal layer radii (a floating-point collision
+    between independent draws).  Its area is 0, and its points must all sit
+    at the shared radius.
+    """
+
+    radius: float
+
+    @property
+    def inner(self) -> float:
+        return self.radius
+
+    @property
+    def outer(self) -> float:
+        return self.radius
+
+    def area(self) -> float:
+        return 0.0
+
+    def contains(self, x, y):
+        return np.isclose(np.hypot(x, y), self.radius)
+
+
+Shape = Union[Annulus, Disk, Rect, Circle]
 
 
 @dataclass(frozen=True)
@@ -242,11 +269,14 @@ def sector_density(sector: Sector) -> float:
 class Deployment:
     """A generated point set with 1-based per-point sector tags.
 
-    Exactly one of ``config`` (automatic mode) and ``plan`` (planned mode) is
-    set; automatic deployments also carry the sampled ``layer_set`` and the
-    inner/outer node quotas.  ``sector`` may legitimately be shorter than the
-    coordinate arrays only for malformed external inputs, which downstream
-    tallies reject.
+    ``plan`` holds the sectors the points were drawn from, in both modes: an
+    automatic run's layers are a disk and annuli (or a zero-width
+    :class:`Circle`), the inner quota first.  ``config`` is set only for
+    automatic runs; their layer geometry and quotas read back from the plan
+    as ``layer_set``, ``inner_count`` and ``outer_count``, which are None
+    otherwise.  ``sector`` may legitimately be shorter than the coordinate
+    arrays only for malformed external inputs, which downstream tallies
+    reject.
     """
 
     x: np.ndarray
@@ -254,9 +284,6 @@ class Deployment:
     sector: np.ndarray
     config: Optional[NetworkConfig] = None
     plan: Optional["DeploymentPlan"] = None
-    layer_set: Optional[LayerSet] = None
-    inner_count: Optional[int] = None
-    outer_count: Optional[int] = None
 
     def __post_init__(self):
         if self.x.shape != self.y.shape:
@@ -264,3 +291,18 @@ class Deployment:
 
     def __len__(self) -> int:
         return int(self.x.size)
+
+    @property
+    def layer_set(self) -> Optional[LayerSet]:
+        if self.config is None:
+            return None
+        boundaries = tuple(sec.shape.outer for sec in self.plan.sectors[:-1])
+        return LayerSet(radius=self.config.radius, boundaries=boundaries)
+
+    @property
+    def inner_count(self) -> Optional[int]:
+        return None if self.config is None else self.plan.sectors[0].count
+
+    @property
+    def outer_count(self) -> Optional[int]:
+        return None if self.config is None else self.plan.sectors[1].count

@@ -92,13 +92,13 @@ def _stream_points(path, deployment: Deployment, layout: str) -> None:
 def write_points(path, deployment: Deployment, fmt: str = "csv") -> None:
     """Write the point set as CSV (``x,y,sector`` rows) or JSON.
 
-    JSON has no spelling for non-finite numbers, so JSON output requires
-    finite coordinates.
+    Coordinates must be finite: JSON has no spelling for non-finite numbers,
+    and ``read_points`` rejects them in either format.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown points format {fmt!r}")
-    if fmt == "json" and not (np.isfinite(deployment.x).all() and np.isfinite(deployment.y).all()):
-        raise ValueError("JSON points need finite coordinates")
+    if not (np.isfinite(deployment.x).all() and np.isfinite(deployment.y).all()):
+        raise ValueError("points need finite coordinates")
     _stream_points(path, deployment, fmt)
 
 
@@ -135,13 +135,18 @@ def _json_points(path):
     )
 
 
-def read_points(path):
-    """Read a points file (CSV or JSON, judged by suffix) back into arrays."""
-    path = Path(path)
-    if path.suffix == ".json":
-        return _json_points(path)
-    text = path.read_text()
-    lines = text.splitlines()
+def _data_line(lines, row: int) -> int:
+    """1-based line number of data row ``row`` (0-based); blank lines hold no row."""
+    return [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()][row]
+
+
+def _csv_points(path):
+    """Arrays of a points CSV file: a header, then ``x,y,sector`` rows of two
+    finite numbers and a 64-bit integer; blank lines are skipped."""
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid text ({exc})") from exc
     if not lines or lines[0].strip() != POINTS_HEADER:
         raise FormatError(f"{path}: expected header {POINTS_HEADER!r}")
     xs, ys, tags = [], [], []
@@ -157,11 +162,30 @@ def read_points(path):
             tags.append(int(parts[2]))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return (
-        np.array(xs, dtype=np.float64),
-        np.array(ys, dtype=np.float64),
-        np.array(tags, dtype=np.int64),
-    )
+    x = np.array(xs, dtype=np.float64)
+    y = np.array(ys, dtype=np.float64)
+    try:
+        sector = np.array(tags, dtype=np.int64)
+    except OverflowError:
+        row = next(i for i, tag in enumerate(tags) if not -(2**63) <= tag < 2**63)
+        where = f"{path}:{_data_line(lines, row)}"
+        raise FormatError(f"{where}: sector tag {tags[row]} does not fit in 64 bits") from None
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        where = f"{path}:{_data_line(lines, row)}"
+        raise FormatError(f"{where}: coordinates must be finite, got ({x[row]}, {y[row]})")
+    return x, y, sector
+
+
+def read_points(path):
+    """Read a points file (CSV or JSON, judged by suffix) back into arrays.
+
+    Both formats hold finite coordinates and 64-bit integer tags; anything
+    else raises :class:`FormatError`.
+    """
+    path = Path(path)
+    return _json_points(path) if path.suffix == ".json" else _csv_points(path)
 
 
 def automatic_metadata(deployment: Deployment, run: int) -> dict:
@@ -221,10 +245,7 @@ def _automatic_from_meta(x, y, sector, meta) -> Deployment:
     plan = LayerPlan(ints["n_L"], ints["n_in"], ints["n_out"], layer_set)
     if plan.total_nodes != config.nodes:
         raise FormatError(f"n_in + (n_L - 1) * n_out is {plan.total_nodes} but n_S is {config.nodes}")
-    return Deployment(
-        x=x, y=y, sector=sector, config=config, layer_set=layer_set,
-        inner_count=ints["n_in"], outer_count=ints["n_out"],
-    )
+    return Deployment(x=x, y=y, sector=sector, config=config, plan=plan.as_plan())
 
 
 def deployment_from_files(points_path, meta_path) -> Deployment:

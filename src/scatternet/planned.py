@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Deployment, Rect, Sector
-from .sampling import fill_in_order, fill_sector
+from .sampling import fill_in_order
 
 __all__ = [
     "DeploymentPlan",
@@ -142,8 +142,5 @@ def deploy_planned(plan: DeploymentPlan, stream) -> Deployment:
     check = check_non_overlap(plan.sectors)
     if not check.ok:
         raise OverlapError(check.message)
-    x, y, tags = fill_in_order(
-        [sec.count for sec in plan.sectors],
-        lambda index, xs, ys: fill_sector(xs, ys, plan.sectors[index - 1].shape, stream.substream(index)),
-    )
+    x, y, tags = fill_in_order(plan.sectors, stream.substream)
     return Deployment(x=x, y=y, sector=tags, plan=plan)

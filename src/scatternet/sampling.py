@@ -73,18 +73,20 @@ def fill_sector(x, y, shape, stream) -> None:
         fill_annulus(x, y, shape.inner, shape.outer, stream)
 
 
-def fill_in_order(quotas, fill):
+def fill_in_order(sectors, stream_of):
     """Coordinates and 1-based tags of sectors filled one after another.
 
-    ``fill(index, x, y)`` writes the ``quotas[index - 1]`` points of sector
-    ``index`` into its slices of the preallocated arrays.
+    Sector ``index`` writes its ``count`` points into its slices of the
+    preallocated arrays, drawing from ``stream_of(index)``.
     """
+    quotas = [sec.count for sec in sectors]
     total = sum(quotas)
     x = np.empty(total, dtype=np.float64)
     y = np.empty(total, dtype=np.float64)
     offset = 0
-    for index, quota in enumerate(quotas, start=1):
-        fill(index, x[offset : offset + quota], y[offset : offset + quota])
-        offset += quota
+    for index, sec in enumerate(sectors, start=1):
+        stop = offset + sec.count
+        fill_sector(x[offset:stop], y[offset:stop], sec.shape, stream_of(index))
+        offset = stop
     tags = np.repeat(np.arange(1, len(quotas) + 1, dtype=np.int64), quotas)
     return x, y, tags

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .core import Annulus, Deployment, Disk, Rect
+from .core import Deployment, Rect
 
 __all__ = [
     "InsufficientSampleError",
@@ -199,21 +199,14 @@ def count_per_sector(deployment: Deployment):
 
 
 def sector_table(deployment: Deployment):
-    """(index, shape, quota) of every sector, 1-based.
+    """(index, shape, quota) of every sector of the deployment's plan, 1-based.
 
-    An automatic run's layers are a disk and annuli, the inner quota first;
-    a zero-width layer (a radius collision) has shape None and area 0.
+    An automatic run's plan holds its layers; a zero-width layer is a
+    sector of area 0.
     """
-    if deployment.layer_set is not None:
-        table = []
-        for i in range(1, deployment.layer_set.layer_count + 1):
-            inner, outer = deployment.layer_set.bounds(i)
-            shape = None if inner == outer else Annulus(inner, outer) if inner > 0 else Disk(outer)
-            table.append((i, shape, deployment.inner_count if i == 1 else deployment.outer_count))
-        return table
-    if deployment.plan is not None:
-        return [(i, sec.shape, sec.count) for i, sec in enumerate(deployment.plan.sectors, start=1)]
-    raise ValueError("deployment carries neither a layer set nor a plan; sector geometry unknown")
+    if deployment.plan is None:
+        raise ValueError("deployment carries no sector plan; sector geometry unknown")
+    return [(i, sec.shape, sec.count) for i, sec in enumerate(deployment.plan.sectors, start=1)]
 
 
 def _members(deployment: Deployment, table):
@@ -236,7 +229,7 @@ def empirical_density_profile(deployment: Deployment):
     out = []
     for index, shape, _ in sector_table(deployment):
         count = counts.get(index, 0)
-        area = shape.area() if shape is not None else 0.0
+        area = shape.area()
         out.append((index, count / area if area > 0 else math.inf))
     return out
 
@@ -244,23 +237,17 @@ def empirical_density_profile(deployment: Deployment):
 def check_membership(deployment: Deployment) -> np.ndarray:
     """Indices of points lying outside their tagged sector's domain.
 
-    For automatic deployments the layer intervals are checked closed on both
-    ends so that a boundary radius produced by floating rounding never
-    trips the check; genuinely displaced points remain detectable.
+    Circular sectors are checked closed on both ends so that a boundary
+    radius produced by floating rounding never trips the check; genuinely
+    displaced points remain detectable.  A zero-width layer's points must
+    sit at its radius, up to rounding.
     """
     table = sector_table(deployment)
     violations = []
-    for (index, shape, _), members in zip(table, _members(deployment, table)):
+    for (_, shape, _), members in zip(table, _members(deployment, table)):
         if not members.size:
             continue
-        x = deployment.x[members]
-        y = deployment.y[members]
-        if shape is None:
-            # zero-width layer: all nodes must sit exactly at the shared radius
-            inner, _ = deployment.layer_set.bounds(index)
-            ok = np.isclose(np.hypot(x, y), inner)
-        else:
-            ok = shape.contains(x, y)
+        ok = shape.contains(deployment.x[members], deployment.y[members])
         violations.append(members[~np.asarray(ok)])
     if not violations:
         return np.empty(0, dtype=np.int64)
@@ -340,10 +327,10 @@ def evaluate_deployment(
     min_areal = MIN_EXPECTED_PER_BIN * areal_shells * areal_wedges
     for (index, shape, _), members in zip(table, _members(deployment, table)):
         count = counts.get(index, 0)
-        area = shape.area() if shape is not None else 0.0
+        area = shape.area()
         density = count / area if area > 0 else math.inf
         per_sector.append(SectorStat(index=index, count=count, area=area, density=density))
-        if shape is None:
+        if area == 0:
             skipped.append((index, "radial_ks", "zero-width layer"))
             skipped.append((index, "areal_chi2", "zero-width layer"))
             continue

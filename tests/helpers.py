@@ -110,6 +110,30 @@ def with_json_point(text, row):
     return text.replace('"points": [', f'"points": [{row}, ', 1)
 
 
+# Points rows (as CSV text) that the CSV points reader must reject.
+BAD_CSV_POINTS = [
+    "0.5,0.5,99999999999999999999",
+    "0.5,0.5,-99999999999999999999",
+    "0.5,0.5,2.7",
+    "0.5,0.5,",
+    "nan,0.5,1",
+    "0.5,NaN,1",
+    "inf,0.5,1",
+    "0.5,-inf,1",
+    "1e400,0.5,1",
+    "zzz,0.5,1",
+    "0.5,0.5",
+    "0.5,0.5,1,7",
+]
+
+
+def with_csv_point(text, row):
+    """Points CSV ``text`` with a blank line and then ``row`` after its first
+    point, so that ``row`` is line 4."""
+    lines = text.split("\n")
+    return "\n".join(lines[:2] + ["", row] + lines[2:])
+
+
 # The one-shot points formatters the streamed writer replaced: the oracle
 # for its bytes.
 def csv_text(d):

@@ -4,10 +4,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BAD_AUTOMATIC_METADATA, BAD_JSON_POINTS, BAD_SECTORS, corrupt_metadata, with_json_point
+from helpers import (
+    BAD_AUTOMATIC_METADATA,
+    BAD_CSV_POINTS,
+    BAD_JSON_POINTS,
+    BAD_SECTORS,
+    SequenceStream,
+    corrupt_metadata,
+    with_csv_point,
+    with_json_point,
+)
 from scatternet import cli, planned
 from scatternet.cli import main
-from scatternet.fileio import read_points
+from scatternet.automatic import deploy_automatic, plan_run
+from scatternet.core import Circle, NetworkConfig
+from scatternet.fileio import (
+    automatic_metadata,
+    deployment_from_files,
+    read_points,
+    write_metadata,
+    write_points,
+)
+from scatternet.stats import check_membership
 
 PLANS = Path(__file__).parent.parent / "plans"
 
@@ -248,6 +266,40 @@ class TestValidateCommand:
         assert run_cli("validate", path) == 3
         assert "run_000.json: " in capsys.readouterr().err
 
+    def test_zero_width_layer_validates_clean(self, tmp_path, capsys):
+        # forced to 3 layers, the two radius draws collide: layer 2 is the circle r = 0.5
+        cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=900, seed=0)
+        uniforms = np.random.default_rng(8).random(2 * cfg.nodes).tolist()
+        d = deploy_automatic(cfg, SequenceStream([0.5, 0.5] + uniforms), force_layer_count=3)
+        resolved = plan_run(cfg, SequenceStream([0.5, 0.5]), force_layer_count=3)
+        assert d.layer_set == resolved.layer_set and d.layer_set.boundaries == (0.5, 0.5)
+        assert (d.inner_count, d.outer_count) == (resolved.inner_count, resolved.outer_count) == (300, 300)
+        assert d.plan.sectors[1].shape == Circle(0.5)
+        write_points(tmp_path / "run_000.csv", d)
+        write_metadata(tmp_path / "run_000.meta.json", automatic_metadata(d, 0))
+        assert run_cli("validate", tmp_path / "run_000.csv") == 0
+        assert "outside" not in capsys.readouterr().err
+        back = deployment_from_files(tmp_path / "run_000.csv", tmp_path / "run_000.meta.json")
+        assert back.plan == d.plan and check_membership(back).size == 0
+        report = json.loads((tmp_path / "run_000.report.json").read_text())
+        assert report["per_sector"][1] == {"index": 2, "count": 300, "area": 0.0, "density": float("inf")}
+        assert '"density": Infinity' in (tmp_path / "run_000.report.json").read_text()
+        assert [s for s in report["skipped"] if s["reason"] == "zero-width layer"] == [
+            {"sector": 2, "test": "radial_ks", "reason": "zero-width layer"},
+            {"sector": 2, "test": "areal_chi2", "reason": "zero-width layer"},
+        ]
+        assert report["all_passed"] is True
+
+    @pytest.mark.parametrize("row", BAD_CSV_POINTS)
+    def test_bad_csv_point_exits_3(self, tmp_path, capsys, row):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out)
+        path = out / "run_000.csv"
+        path.write_text(with_csv_point(path.read_text(), row))
+        assert run_cli("validate", path) == 3
+        assert "run_000.csv:4: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha):
         out = tmp_path / "out"
@@ -283,6 +335,28 @@ class TestBenchCommand:
         code = run_cli("bench", "--out-dir", tmp_path, "--ns-ladder", "100",
                        "--bench-layers", 200, "--nl-ladder", "4", "--nodes", 1000)
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--bench-layers", "1", "max_layers must be at least 2"),
+        ("--size", "-1", "radius must be a positive finite number"),
+        ("--size", "nan", "radius must be a positive finite number"),
+        ("--seed", "-1", "seed must fit in an unsigned 64-bit integer"),
+        ("--nl-ladder", "4,1", "max_layers must be at least 2"),
+    ])
+    def test_invalid_ladder_point_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--out-dir", out, flag, value) == 2
+        assert f"invalid configuration: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("memory,code", [(2000 * 24 - 1, 2), (2000 * 24, 0)])
+    def test_largest_ladder_node_count_meets_memory_guard(self, tmp_path, capsys, monkeypatch, memory, code):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--out-dir", out, "--ns-ladder", "1000,2000", "--bench-layers", 4,
+                       "--nl-ladder", "4", "--nodes", 1000, "--repeats", 1) == code
+        assert ("invalid configuration: 2000 points need" in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
 
     def test_malformed_ladder_exits_2(self, tmp_path, capsys):
         code = run_cli("bench", "--out-dir", tmp_path, "--ns-ladder", "10,abc")

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BAD_AUTOMATIC_METADATA,
+    BAD_CSV_POINTS,
     BAD_JSON_POINTS,
     BAD_SECTORS,
     ORACLES,
     corrupt_metadata,
+    with_csv_point,
     with_json_point,
 )
 from scatternet import fileio
@@ -119,6 +121,27 @@ class TestPointsRoundTrip:
         d = tiny_deployment([0.5, float("nan")], [0.0, 0.0], [1, 1])
         with pytest.raises(ValueError, match="finite"):
             write_points(tmp_path / "p.json", d, fmt="json")
+
+    @pytest.mark.parametrize("row", BAD_CSV_POINTS)
+    def test_bad_csv_point_rejected_with_its_line(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        write_points(path, tiny_deployment([0.5, -0.25], [0.125, 1.0], [1, 2]))
+        path.write_text(with_csv_point(path.read_text(), row))
+        with pytest.raises(FormatError, match="p.csv:4: "):
+            read_points(path)
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y,sector\n\n0.5,-1.0,2\n  \n3,0.25,1\n")
+        x, y, sector = read_points(path)
+        assert x.tolist() == [0.5, 3.0] and y.tolist() == [-1.0, 0.25] and sector.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_csv_needs_finite_coordinates(self, tmp_path, value):
+        d = tiny_deployment([0.5, 0.0], [0.0, value], [1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            write_points(tmp_path / "p.csv", d)
+        assert not (tmp_path / "p.csv").exists()
 
     def test_unknown_format(self, tmp_path):
         d = tiny_deployment([0.0], [0.0], [1])
@@ -288,9 +311,59 @@ meta_values = (
     | json_values
 )
 
+csv_fields = (
+    st.floats().map(repr)
+    | st.integers().map(str)
+    | st.sampled_from(["", " ", "nan", "-inf", "Infinity", "1e400", "2.7", "1_0", "99999999999999999999"])
+    | st.text(max_size=4)
+)
+csv_rows = st.lists(csv_fields, max_size=5).map(",".join) | st.text(max_size=8)
+csv_headers = st.sampled_from(["x,y,sector", " x,y,sector ", "x,y", "a,b,c", ""]) | st.text(max_size=12)
+csv_files = (st.builds(
+    lambda header, rows, end: "\n".join([header, *rows]) + end,
+    csv_headers, st.lists(csv_rows, max_size=8), st.sampled_from(["", "\n", "\r\n"]),
+) | st.text()).map(str.encode) | st.binary(max_size=40)
+point_values = numberish | st.integers() | st.sampled_from([2**63, -(2**63) - 1, float("nan"), float("inf")])
+points_payloads = st.fixed_dictionaries(
+    {"points": st.lists(st.lists(point_values, max_size=4) | json_values, max_size=5)},
+    optional={"columns": json_values},
+) | json_values
+
+
+def assert_points(arrays):
+    """Three equal-length 1-D arrays: finite float64 x and y, int64 tags."""
+    x, y, sector = arrays
+    assert (x.dtype, y.dtype, sector.dtype) == (np.float64, np.float64, np.int64)
+    assert x.ndim == 1 and x.shape == y.shape == sector.shape
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+
 
 class TestParsersNeverCrash:
-    """Any JSON value parses to a valid object or raises FormatError."""
+    """Any input parses to a valid object or raises FormatError."""
+
+    @given(csv_files)
+    @settings(max_examples=300, deadline=None)
+    def test_read_points_csv(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "points.csv"
+            path.write_bytes(content)
+            try:
+                arrays = read_points(path)
+            except FormatError:
+                return
+        assert_points(arrays)
+
+    @given(points_payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_read_points_json(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "points.json"
+            path.write_text(json.dumps(value))
+            try:
+                arrays = read_points(path)
+            except FormatError:
+                return
+        assert_points(arrays)
 
     @given(plan_values)
     @settings(max_examples=300, deadline=None)
@@ -320,7 +393,7 @@ class TestParsersNeverCrash:
             except FormatError:
                 return
         assert isinstance(d, Deployment)
-        if d.plan is None:
+        if d.config is not None:
             assert d.inner_count + (d.layer_set.layer_count - 1) * d.outer_count == d.config.nodes
 
 

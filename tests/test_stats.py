@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import sample_annulus
+from helpers import SequenceStream, sample_annulus
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.planned import DeploymentPlan, deploy_planned
@@ -239,12 +240,18 @@ class TestMembership:
         d = deploy_automatic(cfg, RandomStream(77, 0))
         x = d.x.copy()
         x[17] = 10.0
-        moved = Deployment(
-            x=x, y=d.y, sector=d.sector, config=d.config, layer_set=d.layer_set,
-            inner_count=d.inner_count, outer_count=d.outer_count,
-        )
+        moved = dataclasses.replace(d, x=x)
         violations = check_membership(moved)
         assert violations.tolist() == [17]
+
+    def test_point_off_zero_width_layer_detected(self):
+        stub = SequenceStream([0.5, 0.5] + [0.25, 0.75] * 9)
+        cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=9, seed=0)
+        d = deploy_automatic(cfg, stub, force_layer_count=3)
+        assert check_membership(d).size == 0
+        x = d.x.copy()
+        x[4] += 0.01  # point 4 is in layer 2, the circle r = 0.5
+        assert check_membership(dataclasses.replace(d, x=x)).tolist() == [4]
 
     def test_planned_membership(self):
         plan = DeploymentPlan(sectors=(Sector(Rect(0, 0, 1, 1), 50),))
