@@ -74,10 +74,10 @@ def _require_memory(points: int) -> None:
 def _write_run(out_dir: Path, run: int, deployment, meta: dict, fmt: str, plot_data: bool) -> Path:
     stem = out_dir / f"run_{run:03d}"
     points_path = stem.with_suffix(f".{fmt}")
-    write_points(points_path, deployment, fmt=fmt)
+    write_points(points_path, deployment, fmt=fmt, xy_path=stem.with_suffix(".xy") if plot_data else None)
     write_metadata(stem.with_suffix(".meta.json"), meta)
     if plot_data:
-        write_plot_data(stem.with_suffix(".xy"), stem.with_suffix(".rings"), deployment)
+        write_plot_data(None, stem.with_suffix(".rings"), deployment)
     return points_path
 
 

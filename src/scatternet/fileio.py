@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -60,46 +62,68 @@ def _load_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
-# Points layouts: a file is ``head + sep.join(rows) + tail``, one ``row`` per
-# point.  Floats are written by ``repr`` (shortest round-trip, what
-# ``json.dumps`` writes for finite floats), tags as integers.
+# Points layouts.  Each chunk of rows is formatted once, as ``x,y,sector``
+# rows joined by newlines: floats by ``repr`` (shortest round-trip, what
+# ``json.dumps`` writes for finite floats), tags as integers.  Every layout is
+# derived from that text by ``replacements``, applied in order; a float
+# ``repr`` never holds ",", " ", "[" or a newline, so they touch only the
+# separators.  A file is ``head + sep.join(chunk.format(text)) + tail``.
+_ROW = "{!r},{!r},{}"
 _LAYOUTS = {
-    "csv": (POINTS_HEADER, "\n{!r},{!r},{}", "", "\n"),
-    "json": ('{"columns": ["x", "y", "sector"], "points": [', "[{!r}, {!r}, {}]", ", ", "]}\n"),
-    "xy": ("", "{!r} {!r} {}", "\n", "\n"),
+    # layout: (head, chunk, sep, tail, replacements)
+    "csv": (POINTS_HEADER, "\n{}", "", "\n", ()),
+    "json": ('{"columns": ["x", "y", "sector"], "points": [', "[{}]", ", ", "]}\n", ((",", ", "), ("\n", "], ["))),
+    "xy": ("", "{}", "\n", "\n", ((",", " "),)),
 }
 _ROW_CHUNK = 1 << 14
 
 
-def _stream_points(path, deployment: Deployment, layout: str) -> None:
-    """Write the point set in ``layout``, formatting ``_ROW_CHUNK`` rows at a
-    time, so memory beyond the point arrays stays bounded by the chunk."""
-    head, row, sep, tail = _LAYOUTS[layout]
+def _stream_points(deployment: Deployment, targets) -> None:
+    """Write the point set to every ``(path, layout)`` of ``targets``.
+
+    Rows are formatted ``_ROW_CHUNK`` at a time, once for all targets, so
+    memory beyond the point arrays stays bounded by the chunk.  Coordinates
+    must be finite (JSON has no spelling for non-finite numbers, and
+    ``read_points`` rejects them in every format) and every point needs its
+    sector tag; a point set that breaks either rule raises ``ValueError``
+    before any file is opened.
+    """
     x, y, sector = deployment.x, deployment.y, deployment.sector
-    n = min(x.size, sector.size)  # a short (malformed) sector column ends the rows
-    with Path(path).open("w") as handle:
-        handle.write(head)
-        for start in range(0, n, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, n)
-            if start:
-                handle.write(sep)
-            handle.write(sep.join(map(
-                row.format, x[start:stop].tolist(), y[start:stop].tolist(), sector[start:stop].tolist()
-            )))
-        handle.write(tail)
+    if sector.size != x.size:
+        raise ValueError(f"points need one sector tag each, got {x.size} points and {sector.size} tags")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("points need finite coordinates")
+    with ExitStack() as stack:
+        files = [(stack.enter_context(Path(path).open("w")), _LAYOUTS[layout]) for path, layout in targets]
+        for handle, (head, *_) in files:
+            handle.write(head)
+        for start in range(0, x.size, _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, x.size)
+            rows = "\n".join(map(
+                _ROW.format, x[start:stop].tolist(), y[start:stop].tolist(), sector[start:stop].tolist()
+            ))
+            for handle, (_, chunk, sep, _, replacements) in files:
+                text = rows
+                for old, new in replacements:
+                    text = text.replace(old, new)
+                if start:
+                    handle.write(sep)
+                handle.write(chunk.format(text))
+        for handle, (*_, tail, _) in files:
+            handle.write(tail)
 
 
-def write_points(path, deployment: Deployment, fmt: str = "csv") -> None:
+def write_points(path, deployment: Deployment, fmt: str = "csv", xy_path=None) -> None:
     """Write the point set as CSV (``x,y,sector`` rows) or JSON.
 
-    Coordinates must be finite: JSON has no spelling for non-finite numbers,
-    and ``read_points`` rejects them in either format.
+    With ``xy_path``, the same pass also writes the whitespace-separated
+    rows of :func:`write_plot_data` there, so each coordinate is turned into
+    text once.  Coordinates must be finite and every point needs a sector
+    tag, else ``ValueError`` and no file is written.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown points format {fmt!r}")
-    if not (np.isfinite(deployment.x).all() and np.isfinite(deployment.y).all()):
-        raise ValueError("points need finite coordinates")
-    _stream_points(path, deployment, fmt)
+    _stream_points(deployment, [(path, fmt)] + ([(xy_path, "xy")] if xy_path is not None else []))
 
 
 # (accepted Python types, array dtype) of the three points JSON columns
@@ -140,9 +164,12 @@ def _data_line(lines, row: int) -> int:
     return [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
-def _csv_points(path):
+def _csv_points_by_line(path):
     """Arrays of a points CSV file: a header, then ``x,y,sector`` rows of two
-    finite numbers and a 64-bit integer; blank lines are skipped."""
+    finite numbers and a 64-bit integer; blank lines are skipped.
+
+    This parser defines the format and names ``path:line`` in every error.
+    """
     try:
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
@@ -176,6 +203,44 @@ def _csv_points(path):
         where = f"{path}:{_data_line(lines, row)}"
         raise FormatError(f"{where}: coordinates must be finite, got ({x[row]}, {y[row]})")
     return x, y, sector
+
+
+# Bytes of a points CSV file that ``np.loadtxt`` reads exactly as
+# ``_csv_points_by_line`` does: ASCII digits, signs, points, exponent marks,
+# commas, spaces and line ends.  Others (underscores, non-ASCII digits, the
+# control characters that ``str.splitlines`` breaks lines at but ``loadtxt``
+# strips as whitespace) are left to the line parser.
+_LOADTXT_BYTES = b"0123456789+-.eE, \n\r"
+_CSV_ROW = np.dtype([("x", "f8"), ("y", "f8"), ("s", "i8")])
+
+
+def _csv_points(path):
+    """Arrays of a points CSV file, as ``_csv_points_by_line`` reads it.
+
+    A file of nothing but the header and ``_LOADTXT_BYTES`` is parsed by
+    ``np.loadtxt``; if that fails or reads a non-finite coordinate, and for
+    any other file, the line parser reads it and names the faulty line.
+    """
+    header = POINTS_HEADER.encode()
+    data = path.read_bytes()
+    simple = (
+        data.startswith(header) and data[len(header):len(header) + 1] in (b"", b"\n", b"\r")
+        and data.translate(None, _LOADTXT_BYTES) == header.translate(None, _LOADTXT_BYTES)
+    )
+    del data
+    if simple:
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data", and integers read via float on older numpy
+                warnings.simplefilter("error")
+                rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1, dtype=_CSV_ROW)
+        except (ValueError, Warning):
+            pass
+        else:
+            x, y = rows["x"], rows["y"]
+            if np.isfinite(x).all() and np.isfinite(y).all():
+                return x.copy(), y.copy(), rows["s"].copy()
+    return _csv_points_by_line(path)
 
 
 def read_points(path):
@@ -328,9 +393,12 @@ def write_plot_data(xy_path, rings_path, deployment: Deployment) -> None:
     """Whitespace-separated scatter data plus ring boundaries for external plotting.
 
     The rings file lists the interior layer radii followed by the outer
-    radius; it is only written for automatic deployments.
+    radius; it is only written for automatic deployments.  Either path may
+    be None to skip that file (:func:`write_points` can write the scatter
+    data in its own pass).
     """
-    _stream_points(xy_path, deployment, "xy")
+    if xy_path is not None:
+        _stream_points(deployment, [(xy_path, "xy")])
     if deployment.layer_set is not None and rings_path is not None:
         ls = deployment.layer_set
         radii = list(ls.boundaries) + [ls.radius]

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,44 @@ class TestStreamedWriter:
         else:
             write_points(path, d, fmt=layout)
         assert path.read_bytes() == ORACLES[layout](d).encode()
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_points_and_plot_data_from_one_pass(self, tmp_path, fmt, size):
+        d = spread_deployment(size, seed=size)
+        path, xy_path = tmp_path / f"points.{fmt}", tmp_path / "points.xy"
+        write_points(path, d, fmt=fmt, xy_path=xy_path)
+        assert path.read_bytes() == ORACLES[fmt](d).encode()
+        assert xy_path.read_bytes() == ORACLES["xy"](d).encode()
+
+
+# Every points writer, by name: each writes into ``directory``.
+WRITERS = {
+    "csv": lambda d, directory: write_points(directory / "p.csv", d),
+    "json": lambda d, directory: write_points(directory / "p.json", d, fmt="json"),
+    "xy": lambda d, directory: write_plot_data(directory / "p.xy", None, d),
+    "csv+xy": lambda d, directory: write_points(directory / "p.csv", d, xy_path=directory / "p.xy"),
+}
+
+
+class TestWritersRefuse:
+    """Every layout refuses a malformed point set before opening a file."""
+
+    @pytest.mark.parametrize("tags", [[1], [1, 2, 3, 4], []])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_one_sector_tag_per_point(self, tmp_path, writer, tags):
+        d = tiny_deployment([0.5, 0.25, 0.0], [0.1, 0.2, 0.3], tags)
+        with pytest.raises(ValueError, match="one sector tag each"):
+            WRITERS[writer](d, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_finite_coordinates(self, tmp_path, writer, value):
+        d = tiny_deployment([0.5, value], [0.1, 0.2], [1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            WRITERS[writer](d, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMetadata:
@@ -395,6 +434,117 @@ class TestParsersNeverCrash:
         assert isinstance(d, Deployment)
         if d.config is not None:
             assert d.inner_count + (d.layer_set.layer_count - 1) * d.outer_count == d.config.nodes
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: dtype, shape and bytes of each array,
+    or the FormatError message."""
+    try:
+        arrays = read(path)
+    except FormatError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_reads_like_line_parser(path):
+    """``read_points`` gives the line parser's arrays bitwise, or its error."""
+    outcome = read_outcome(read_points, path)
+    assert outcome == read_outcome(fileio._csv_points_by_line, path)
+    return outcome
+
+
+# Characters ``np.loadtxt`` and the line parser read differently.
+ODD_CHARACTERS = ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\xa0", "\t", "\x00", "_",
+                  "\u0663", "\uff13"]
+plain_fields = (
+    finite_floats.map(repr)
+    | st.integers(-(2**64), 2**64).map(str)
+    | st.text(alphabet="0123456789+-.eE ", max_size=6)
+    | st.sampled_from(["nan", "infinity", "1e400", "-1e400", "1_0", "\u0663", "\uff13", "2.7"])
+)
+plain_rows = st.lists(plain_fields, min_size=2, max_size=4).map(",".join) | st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def near_fast_path_files(draw):
+    """Points CSV text close to what the writer makes, sometimes with an odd
+    character inserted at any position."""
+    header = draw(st.sampled_from(["x,y,sector", "x,y,sector", " x,y,sector", "x,y,sector ", "x,y"]))
+    rows = draw(st.lists(plain_rows, max_size=6))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join([header, *rows]) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(ODD_CHARACTERS)) + text[at:]
+    return text.encode()
+
+
+class TestVectorizedReader:
+    """``read_points`` on CSV agrees with the line parser it falls back to."""
+
+    @given(near_fast_path_files() | csv_files)
+    @settings(max_examples=400, deadline=None)
+    def test_same_arrays_or_same_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "points.csv"
+            path.write_bytes(content)
+            assert_reads_like_line_parser(path)
+
+    @pytest.mark.parametrize("body, accepted", [
+        ("1_0,2,3\n", True),
+        ("1,2,1_0\n", True),
+        ("\u0663,2,3\n", True),
+        ("1,2,\uff13\n", True),
+        ("1,2\x0c,3\n", False),
+        ("1,2\x0b,3\n", False),
+        ("1,2\x1c,3\n", False),
+        ("1,2\x85,3\n", False),
+        ("1,2\u2028,3\n", False),
+        ("1,2\xa0,3\n", True),
+        ("1,2 ,3\n", True),
+        ("0.5,0.5,1\n   \n0.25,0.5,2\n", True),
+        ("nan,2,3\n", False),
+        ("1,infinity,3\n", False),
+        ("1e400,2,3\n", False),
+        ("", True),
+        ("0.5,-0.0,7\n", True),
+        (f"0.5,0.5,{2**63}\n", False),
+        (f"0.5,0.5,{2**63 - 1}\n", True),
+        (f"0.5,0.5,{-(2**63)}\n", True),
+        ("1,2,3.0\n", False),
+        ("1,2,1e3\n", False),
+    ])
+    def test_divergent_inputs(self, tmp_path, body, accepted):
+        path = tmp_path / "p.csv"
+        path.write_bytes(("x,y,sector\n" + body).encode())
+        outcome = assert_reads_like_line_parser(path)
+        assert isinstance(outcome, list) == accepted
+
+    @pytest.mark.parametrize("content", ["x,y,sector\n", "x,y,sector", "x,y,sector\n\n"])
+    def test_header_only_file_is_quiet(self, tmp_path, capfd, content):
+        path = tmp_path / "p.csv"
+        path.write_text(content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, y, sector = read_points(path)
+        assert caught == []
+        assert x.size == y.size == sector.size == 0
+        assert capfd.readouterr().err == ""
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y,sector\n0.5,-0.25,3\n")
+        x, y, sector = read_points(path)
+        assert (x.tolist(), y.tolist(), sector.tolist()) == ([0.5], [-0.25], [3])
+        assert_reads_like_line_parser(path)
+
+    def test_written_file_skips_the_line_parser(self, tmp_path, monkeypatch):
+        d = spread_deployment(3 * CHUNK + 5, seed=7)
+        path = tmp_path / "p.csv"
+        write_points(path, d)
+        monkeypatch.setattr(fileio, "_csv_points_by_line", None)  # a call would raise TypeError
+        x, y, sector = read_points(path)
+        assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes()
+        assert sector.tobytes() == d.sector.tobytes()
 
 
 class TestPlotData:

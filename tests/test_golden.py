@@ -1,9 +1,11 @@
 """Byte-level regression guard for the CLI's output files.
 
-Small fixed-seed runs of both generation modes, followed by ``validate``;
-every file they leave (points, metadata, plot data, reports) must hash to
-the SHA-256 recorded below.  A change to sampling, draw order, float
-formatting or report layout shows up here as a digest mismatch.
+Fixed-seed runs of both generation modes, followed by ``validate``; every
+file they leave (points, metadata, plot data, reports) must hash to the
+SHA-256 recorded below.  Most runs are small; the two ``-chunks`` runs are
+large enough that the points writer crosses chunk boundaries.  A change to
+sampling, draw order, float formatting or report layout shows up here as a
+digest mismatch.
 """
 import hashlib
 from pathlib import Path
@@ -15,10 +17,14 @@ from scatternet.cli import main
 PLANS = Path(__file__).parent.parent / "plans"
 
 SMALL_REGIME = ["deploy", "--size", "1", "--max-layers", "5", "--nodes", "100", "--seed", "42"]
+# 50000 points span four chunks of the points writer (16384 rows each).
+CHUNKED_REGIME = ["deploy", "--size", "1", "--max-layers", "5", "--nodes", "50000", "--seed", "42", "--plot-data"]
 
 RUNS = {
     "deploy-csv": SMALL_REGIME + ["--runs", "2", "--plot-data"],
     "deploy-json": SMALL_REGIME + ["--runs", "2", "--plot-data", "--format", "json"],
+    "deploy-csv-chunks": CHUNKED_REGIME,
+    "deploy-json-chunks": CHUNKED_REGIME + ["--format", "json"],
     "plan-mixed": ["plan", "--plan", str(PLANS / "mixed_demo.json"), "--seed", "3", "--runs", "2", "--plot-data"],
     "plan-two-annulus": [
         "plan", "--plan", str(PLANS / "two_annulus_80_20.json"), "--seed", "3", "--runs", "2", "--plot-data",
@@ -49,6 +55,20 @@ GOLDEN = {
         "run_001.report.json": "860eaee47b1c44e8921929292e0e01f4d419f9e178a82a8e57aee104b751c7db",
         "run_001.rings": "6794ff42e4d34ff0cfcbd3e665ac28c30cfcf263b748e713c7c2f1c5b71cb2d2",
         "run_001.xy": "81611ac04d3fa682d29a23ecb12adaae6affd7ee2a73ba1ed536291e8e568860",
+    },
+    "deploy-csv-chunks": {
+        "run_000.csv": "099ca0e554652b730d1356748cccb39e7a8d4d3d9d3a3055e18e07dc8b387a44",
+        "run_000.meta.json": "2b5c78227f5d6225b777726e21e2cb21b1568050a0672fb8571d75569903b24e",
+        "run_000.report.json": "eb0118e05ee9199939864c3aa9fcf5b1e2c6ed4e92317e9b450f251271f19b38",
+        "run_000.rings": "4bf74b6689612af3e1a19acf9ea8f58fcbe46e45ef9f5b28670bcbfcc1c9bc8a",
+        "run_000.xy": "291140d3eb5d6781da1ce6c566773fbdfba57dbb4c4121f41b0e77d227d0d8b0",
+    },
+    "deploy-json-chunks": {
+        "run_000.json": "684fdaad944e8aba0afde1a9081052e4766565d4f8bbe67e4c50362f937f5327",
+        "run_000.meta.json": "2b5c78227f5d6225b777726e21e2cb21b1568050a0672fb8571d75569903b24e",
+        "run_000.report.json": "eb0118e05ee9199939864c3aa9fcf5b1e2c6ed4e92317e9b450f251271f19b38",
+        "run_000.rings": "4bf74b6689612af3e1a19acf9ea8f58fcbe46e45ef9f5b28670bcbfcc1c9bc8a",
+        "run_000.xy": "291140d3eb5d6781da1ce6c566773fbdfba57dbb4c4121f41b0e77d227d0d8b0",
     },
     "plan-mixed": {
         "run_000.csv": "02d6e1b0912c61a5ffbca0070c16aa7e24aa34e8afef7fbe82182ea6c55ebdfd",
