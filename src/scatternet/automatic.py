@@ -145,7 +145,7 @@ def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -
         Variate source; the caller owns seeding, typically one substream per
         run.
     force_layer_count : int, optional
-        Benchmarking hook: pin the layer count instead of sampling it.
+        Test hook: pin the layer count instead of sampling it.
 
     Returns
     -------

@@ -1,4 +1,5 @@
-"""Command-line front end: batch generation, validation and benchmarking.
+"""Command-line front end: batch generation (``deploy``, ``plan``) and
+``validate``.
 
 Exit codes are a total function of outcome class: 0 success, 2 invalid
 configuration or plan, 3 I/O or parse error, 4 statistical validation
@@ -9,10 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from .automatic import deploy_automatic
 from .core import MAX_UINT64, ConfigError, NetworkConfig, validate_config
@@ -77,7 +75,7 @@ def _write_run(out_dir: Path, run: int, deployment, meta: dict, fmt: str, plot_d
     write_points(points_path, deployment, fmt=fmt, xy_path=stem.with_suffix(".xy") if plot_data else None)
     write_metadata(stem.with_suffix(".meta.json"), meta)
     if plot_data:
-        write_plot_data(None, stem.with_suffix(".rings"), deployment)
+        write_plot_data(stem.with_suffix(".rings"), deployment)
     return points_path
 
 
@@ -206,77 +204,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def time_forced_run(radius: float, max_layers: int, nodes: int, seed: int, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of one worst-case run (layer count pinned
-    to its maximum)."""
-    config = validate_config(NetworkConfig(radius=radius, max_layers=max_layers, nodes=nodes, seed=seed))
-    best = float("inf")
-    for attempt in range(repeats):
-        stream = RandomStream(seed, attempt)
-        start = time.perf_counter()
-        deploy_automatic(config, stream, force_layer_count=max_layers)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def fit_exponent(sizes, times) -> float:
-    """Slope of log(time) against log(size): the apparent scaling exponent."""
-    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(np.asarray(times, float)), 1)[0])
-
-
-def cmd_bench(args) -> int:
-    try:
-        ns_ladder = [int(v) for v in args.ns_ladder.split(",") if v]
-        nl_ladder = [int(v) for v in args.nl_ladder.split(",") if v]
-    except ValueError:
-        _err("invalid configuration: ladders must be comma-separated integers")
-        return EXIT_CONFIG
-    if not ns_ladder or not nl_ladder or args.repeats < 1:
-        _err("invalid configuration: ladders must be non-empty and repeats at least 1")
-        return EXIT_CONFIG
-    points = [(nodes, args.bench_layers) for nodes in ns_ladder] + [(args.nodes, nl) for nl in nl_ladder]
-    try:  # every ladder point, before anything is timed or allocated
-        for nodes, layers in points:
-            validate_config(NetworkConfig(radius=args.size, max_layers=layers, nodes=nodes, seed=args.seed))
-        _require_memory(max(nodes for nodes, _ in points))
-    except ConfigError as exc:
-        return _invalid(exc)
-    out_dir = Path(args.out_dir)
-    rows = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ns_times = []
-        for nodes in ns_ladder:
-            seconds = time_forced_run(args.size, args.bench_layers, nodes, args.seed, args.repeats)
-            ns_times.append(seconds)
-            rows.append((nodes, args.bench_layers, seconds))
-            print(f"n_S={nodes} n_Lmax={args.bench_layers} seconds={seconds:.6f}")
-        nl_times = []
-        for layers in nl_ladder:
-            seconds = time_forced_run(args.size, layers, args.nodes, args.seed, args.repeats)
-            nl_times.append(seconds)
-            rows.append((args.nodes, layers, seconds))
-            print(f"n_S={args.nodes} n_Lmax={layers} seconds={seconds:.6f}")
-        table = out_dir / "bench.csv"
-        lines = ["n_S,n_Lmax,seconds"]
-        lines.extend(f"{n},{nl},{repr(t)}" for n, nl, t in rows)
-        table.write_text("\n".join(lines) + "\n")
-        summary = []
-        if len(ns_ladder) >= 2:
-            exponent = fit_exponent(ns_ladder, ns_times)
-            summary.append(f"node-count sweep: fitted exponent {exponent:.3f}")
-        if len(nl_ladder) >= 2:
-            exponent = fit_exponent(nl_ladder, nl_times)
-            summary.append(f"layer-bound sweep: fitted exponent {exponent:.3f}")
-        for line in summary:
-            print(line)
-        print(f"wrote {table}")
-    except OSError as exc:
-        _err(f"I/O error: {exc}")
-        return EXIT_IO
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatternet",
@@ -313,20 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.set_defaults(func=cmd_validate)
 
-    bench = sub.add_parser("bench", help="time worst-case generation over parameter ladders")
-    bench.add_argument("--size", type=float, default=1.0, help="network radius")
-    bench.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
-    bench.add_argument("--out-dir", default=".", help="where to write bench.csv")
-    bench.add_argument("--ns-ladder", default="10000,100000,1000000",
-                       help="comma-separated node counts for the node sweep")
-    bench.add_argument("--bench-layers", type=int, default=10,
-                       help="layer bound used during the node sweep")
-    bench.add_argument("--nl-ladder", default="10,100,1000,10000",
-                       help="comma-separated layer bounds for the layer sweep")
-    bench.add_argument("--nodes", type=int, default=100000,
-                       help="fixed node count used during the layer sweep")
-    bench.add_argument("--repeats", type=int, default=3, help="timing repeats (best is kept)")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

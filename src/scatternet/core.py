@@ -25,9 +25,6 @@ __all__ = [
     "Shape",
     "Sector",
     "Deployment",
-    "annulus_area",
-    "sector_area",
-    "sector_density",
     "validate_config",
 ]
 
@@ -117,29 +114,6 @@ class LayerSet:
     def layer_count(self) -> int:
         return len(self.boundaries) + 1
 
-    @property
-    def widths(self) -> tuple:
-        """Radial width of each layer, innermost first."""
-        edges = (0.0,) + tuple(self.boundaries) + (self.radius,)
-        return tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))
-
-    def bounds(self, index: int):
-        """Inner and outer radius of layer ``index`` (1-based)."""
-        if not 1 <= index <= self.layer_count:
-            raise IndexError(f"layer index {index} outside 1..{self.layer_count}")
-        inner = 0.0 if index == 1 else self.boundaries[index - 2]
-        outer = self.radius if index == self.layer_count else self.boundaries[index - 1]
-        return inner, outer
-
-    def layer_of(self, r):
-        """1-based layer index for radius ``r`` (scalar or array).
-
-        Membership intervals are half-open [inner, outer), closing to
-        [inner, radius] for the outermost layer.
-        """
-        edges = np.asarray(self.boundaries, dtype=np.float64)
-        return np.searchsorted(edges, r, side="right") + 1
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -153,7 +127,7 @@ class Annulus:
             raise ValueError(f"annulus requires 0 <= inner < outer, got ({self.inner}, {self.outer})")
 
     def area(self) -> float:
-        return annulus_area(self.inner, self.outer)
+        return math.pi * (self.outer * self.outer - self.inner * self.inner)
 
     def contains(self, x, y):
         r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
@@ -246,23 +220,6 @@ class Sector:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"sector node count must be at least 1, got {self.count}")
-
-
-def annulus_area(inner: float, outer: float) -> float:
-    """Area of the origin-centered annulus between ``inner`` and ``outer``."""
-    if not (0.0 <= inner < outer):
-        raise ValueError(f"annulus_area requires 0 <= inner < outer, got ({inner}, {outer})")
-    return math.pi * (outer * outer - inner * inner)
-
-
-def sector_area(sector: Sector) -> float:
-    """Surface area of a sector's shape."""
-    return sector.shape.area()
-
-
-def sector_density(sector: Sector) -> float:
-    """Areal node density of a sector: count divided by area."""
-    return sector.count / sector_area(sector)
 
 
 @dataclass(frozen=True)

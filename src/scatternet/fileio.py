@@ -29,7 +29,6 @@ __all__ = [
     "read_metadata",
     "deployment_from_files",
     "load_plan",
-    "save_plan",
     "write_plot_data",
     "write_report",
 ]
@@ -116,10 +115,11 @@ def _stream_points(deployment: Deployment, targets) -> None:
 def write_points(path, deployment: Deployment, fmt: str = "csv", xy_path=None) -> None:
     """Write the point set as CSV (``x,y,sector`` rows) or JSON.
 
-    With ``xy_path``, the same pass also writes the whitespace-separated
-    rows of :func:`write_plot_data` there, so each coordinate is turned into
-    text once.  Coordinates must be finite and every point needs a sector
-    tag, else ``ValueError`` and no file is written.
+    With ``xy_path``, the same pass also writes the scatter data for
+    external plotting there: the rows separated by whitespace, so each
+    coordinate is turned into text once.  Coordinates must be finite and
+    every point needs a sector tag, else ``ValueError`` and no file is
+    written.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown points format {fmt!r}")
@@ -318,20 +318,24 @@ def deployment_from_files(points_path, meta_path) -> Deployment:
 
     Metadata must carry JSON integers where integers are written and agree
     with itself: ``n_L == len(radii) + 1`` and ``n_in + (n_L - 1) * n_out ==
-    n_S`` for automatic runs.  Any violation raises :class:`FormatError`.
+    n_S`` for automatic runs.  Every sector tag must name a sector of the
+    plan, 1..k.  Any violation raises :class:`FormatError`.
     """
     x, y, sector = read_points(points_path)
-    if sector.size and sector.min() < 1:
-        raise FormatError(f"{points_path}: sector tags must be positive integers")
     meta = read_metadata(meta_path)
     if "n_L" in meta:
         try:
-            return _automatic_from_meta(x, y, sector, meta)
+            deployment = _automatic_from_meta(x, y, sector, meta)
         except ValueError as exc:  # FormatError, ConfigError and the geometry checks
             raise FormatError(f"{meta_path}: {exc}") from exc
-    if "plan" in meta:
-        return Deployment(x=x, y=y, sector=sector, plan=_plan_from_objects(meta["plan"], meta_path))
-    raise FormatError(f"{meta_path}: metadata carries neither 'n_L' nor 'plan'")
+    elif "plan" in meta:
+        deployment = Deployment(x=x, y=y, sector=sector, plan=_plan_from_objects(meta["plan"], meta_path))
+    else:
+        raise FormatError(f"{meta_path}: metadata carries neither 'n_L' nor 'plan'")
+    sectors = len(deployment.plan.sectors)
+    if sector.size and not (1 <= sector.min() and sector.max() <= sectors):
+        raise FormatError(f"{points_path}: sector tags must lie in 1..{sectors}")
+    return deployment
 
 
 # plan "shape" name -> (class, {JSON field: attribute}), fields in file order
@@ -385,21 +389,14 @@ def load_plan(path) -> DeploymentPlan:
     return _plan_from_objects(_load_json(path), path)
 
 
-def save_plan(path, plan: DeploymentPlan) -> None:
-    Path(path).write_text(json.dumps([_sector_to_obj(sec) for sec in plan.sectors], indent=2) + "\n")
-
-
-def write_plot_data(xy_path, rings_path, deployment: Deployment) -> None:
-    """Whitespace-separated scatter data plus ring boundaries for external plotting.
+def write_plot_data(rings_path, deployment: Deployment) -> None:
+    """Ring boundaries for external plotting, beside the scatter data that
+    :func:`write_points` writes with ``xy_path``.
 
     The rings file lists the interior layer radii followed by the outer
-    radius; it is only written for automatic deployments.  Either path may
-    be None to skip that file (:func:`write_points` can write the scatter
-    data in its own pass).
+    radius; it is only written for automatic deployments.
     """
-    if xy_path is not None:
-        _stream_points(deployment, [(xy_path, "xy")])
-    if deployment.layer_set is not None and rings_path is not None:
+    if deployment.layer_set is not None:
         ls = deployment.layer_set
         radii = list(ls.boundaries) + [ls.radius]
         Path(rings_path).write_text("\n".join(repr(float(r)) for r in radii) + "\n")

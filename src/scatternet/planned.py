@@ -49,7 +49,7 @@ class OverlapCheck:
 
 @dataclass(frozen=True)
 class DeploymentPlan:
-    """Ordered list of sectors with derived totals."""
+    """Ordered list of sectors with their node total."""
 
     sectors: tuple
 
@@ -63,10 +63,6 @@ class DeploymentPlan:
     @property
     def total_nodes(self) -> int:
         return sum(sec.count for sec in self.sectors)
-
-    @property
-    def total_area(self) -> float:
-        return sum(sec.shape.area() for sec in self.sectors)
 
 
 def _radial_interval(shape):

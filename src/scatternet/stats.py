@@ -32,7 +32,6 @@ __all__ = [
     "equal_area_boundaries",
     "count_per_sector",
     "sector_table",
-    "empirical_density_profile",
     "check_membership",
     "evaluate_deployment",
     "DEFAULT_KS_ALPHA",
@@ -43,6 +42,12 @@ DEFAULT_KS_ALPHA = 0.01
 DEFAULT_CHI2_ALPHA = 0.001
 MIN_KS_POINTS = 30
 MIN_EXPECTED_PER_BIN = 5
+# Cells of the tests ``evaluate_deployment`` runs: angular bins over the
+# whole network, and equal-area shells by equal wedges (or an equal grid for
+# a rectangle) per sector.
+ANGULAR_BINS = 36
+AREAL_SHELLS = 8
+AREAL_WEDGES = 8
 
 
 class InsufficientSampleError(ValueError):
@@ -223,17 +228,6 @@ def _members(deployment: Deployment, table):
     return [order[a:b] for a, b in zip(lo, hi)]
 
 
-def empirical_density_profile(deployment: Deployment):
-    """Realized density of every sector as a list of (index, count / area)."""
-    counts = dict(count_per_sector(deployment))
-    out = []
-    for index, shape, _ in sector_table(deployment):
-        count = counts.get(index, 0)
-        area = shape.area()
-        out.append((index, count / area if area > 0 else math.inf))
-    return out
-
-
 def check_membership(deployment: Deployment) -> np.ndarray:
     """Indices of points lying outside their tagged sector's domain.
 
@@ -306,9 +300,6 @@ def evaluate_deployment(
     deployment: Deployment,
     ks_alpha: float = DEFAULT_KS_ALPHA,
     chi2_alpha: float = DEFAULT_CHI2_ALPHA,
-    angular_bins: int = 36,
-    areal_shells: int = 8,
-    areal_wedges: int = 8,
 ) -> StatReport:
     """Run every applicable distribution test and assemble a report.
 
@@ -324,7 +315,7 @@ def evaluate_deployment(
     areal = []
     skipped = []
     all_circular = True
-    min_areal = MIN_EXPECTED_PER_BIN * areal_shells * areal_wedges
+    min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
     for (index, shape, _), members in zip(table, _members(deployment, table)):
         count = counts.get(index, 0)
         area = shape.area()
@@ -344,9 +335,9 @@ def evaluate_deployment(
         if count < min_areal:
             skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
         elif isinstance(shape, Rect):
-            areal.append((index, rect_chi2(sx, sy, shape, areal_shells, areal_wedges, alpha=chi2_alpha)))
+            areal.append((index, rect_chi2(sx, sy, shape, AREAL_SHELLS, AREAL_WEDGES, alpha=chi2_alpha)))
         else:
-            cells = (areal_shells, areal_wedges)
+            cells = (AREAL_SHELLS, AREAL_WEDGES)
             areal.append((index, areal_chi2(sx, sy, shape.inner, shape.outer, *cells, alpha=chi2_alpha)))
         if isinstance(shape, Rect):
             all_circular = False
@@ -354,10 +345,10 @@ def evaluate_deployment(
 
     angular = None
     if all_circular:
-        if len(deployment) >= MIN_EXPECTED_PER_BIN * angular_bins:
-            angular = angular_chi2(deployment.x, deployment.y, bins=angular_bins, alpha=chi2_alpha)
+        if len(deployment) >= MIN_EXPECTED_PER_BIN * ANGULAR_BINS:
+            angular = angular_chi2(deployment.x, deployment.y, bins=ANGULAR_BINS, alpha=chi2_alpha)
         else:
-            skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * angular_bins}"))
+            skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
     else:
         skipped.append((None, "angular_chi2", "plan contains non-circular sectors"))
 

@@ -1,7 +1,11 @@
 import json
+import time
 
 import numpy as np
 
+from scatternet.automatic import deploy_automatic
+from scatternet.core import NetworkConfig, validate_config
+from scatternet.rng import RandomStream
 from scatternet.sampling import fill_annulus, fill_sector
 
 
@@ -49,6 +53,25 @@ def sample_sector(shape, n, stream):
     y = np.empty(n, dtype=np.float64)
     fill_sector(x, y, shape, stream)
     return x, y
+
+
+def time_forced_run(radius: float, max_layers: int, nodes: int, seed: int, repeats: int = 3) -> float:
+    """Best-of-``repeats`` CPU time of one worst-case run (layer count pinned
+    to its maximum).  CPU time leaves out time the process spends
+    descheduled, which wall time on a loaded host does not."""
+    config = validate_config(NetworkConfig(radius=radius, max_layers=max_layers, nodes=nodes, seed=seed))
+    best = float("inf")
+    for attempt in range(repeats):
+        stream = RandomStream(seed, attempt)
+        start = time.process_time()
+        deploy_automatic(config, stream, force_layer_count=max_layers)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def fit_exponent(sizes, times) -> float:
+    """Slope of log(time) against log(size): the apparent scaling exponent."""
+    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(np.asarray(times, float)), 1)[0])
 
 
 # Plan sector objects (as JSON text) that parse but must be rejected.

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import SequenceStream, sample_annulus
+from helpers import SequenceStream, fit_exponent, sample_annulus, time_forced_run
 from scatternet.automatic import deploy_automatic, split_nodes
-from scatternet.cli import fit_exponent, main, time_forced_run
+from scatternet.cli import main
 from scatternet.core import NetworkConfig
 from scatternet.fileio import automatic_metadata, load_plan
 from scatternet.planned import deploy_planned

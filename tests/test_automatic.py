@@ -198,7 +198,8 @@ class TestDeployAutomatic:
         d = deploy_automatic(cfg, RandomStream(3, 0))
         r = np.hypot(d.x, d.y)
         for layer in range(1, d.layer_set.layer_count + 1):
-            inner, outer = d.layer_set.bounds(layer)
+            shape = d.plan.sectors[layer - 1].shape
+            inner, outer = shape.inner, shape.outer
             mask = d.sector == layer
             assert np.all(r[mask] >= inner)
             assert np.all(r[mask] <= outer)

@@ -245,16 +245,22 @@ class TestValidateCommand:
         assert run_cli("validate", out / "run_000.csv") == 3
         assert capsys.readouterr().err
 
-    def test_nonpositive_sector_tag_exits_3(self, tmp_path, capsys):
+    # a tag outside 1..k, k the plan's sector count; "k+1" is resolved per run
+    @pytest.mark.parametrize("tag", ["0", "k+1", str(2**62), str(2**63 - 1)])
+    def test_nonpositive_sector_tag_exits_3(self, tmp_path, capsys, tag):
         out = tmp_path / "out"
         run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
                 "--seed", 11, "--out-dir", out)
         path = out / "run_000.csv"
+        sectors = json.loads((out / "run_000.meta.json").read_text())["n_L"]
         lines = path.read_text().splitlines()
-        lines[1] = lines[1].rsplit(",", 1)[0] + ",0"
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + tag.replace("k+1", str(sectors + 1))
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("validate", path) == 3
-        assert "sector tags" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"sector tags must lie in 1..{sectors}" in err
+        assert "Traceback" not in err
+        assert not (out / "run_000.report.json").exists()
 
     @pytest.mark.parametrize("row", BAD_JSON_POINTS)
     def test_bad_json_point_exits_3(self, tmp_path, capsys, row):
@@ -316,55 +322,12 @@ class TestValidateCommand:
         assert run_cli("validate", out / "run_000.json") == 0
 
 
-class TestBenchCommand:
-    def test_row_format_and_summary(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        code = run_cli("bench", "--out-dir", out, "--seed", 1,
-                       "--ns-ladder", "1000,2000", "--bench-layers", 4,
-                       "--nl-ladder", "4,8", "--nodes", 1000, "--repeats", 1)
-        assert code == 0
-        lines = (out / "bench.csv").read_text().splitlines()
-        assert lines[0] == "n_S,n_Lmax,seconds"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert first[0] == "1000" and first[1] == "4"
-        assert float(first[2]) > 0
-        assert "fitted exponent" in capsys.readouterr().out
-
-    def test_inconsistent_ladder_exits_2(self, tmp_path):
-        code = run_cli("bench", "--out-dir", tmp_path, "--ns-ladder", "100",
-                       "--bench-layers", 200, "--nl-ladder", "4", "--nodes", 1000)
-        assert code == 2
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--bench-layers", "1", "max_layers must be at least 2"),
-        ("--size", "-1", "radius must be a positive finite number"),
-        ("--size", "nan", "radius must be a positive finite number"),
-        ("--seed", "-1", "seed must fit in an unsigned 64-bit integer"),
-        ("--nl-ladder", "4,1", "max_layers must be at least 2"),
-    ])
-    def test_invalid_ladder_point_exits_2(self, tmp_path, capsys, flag, value, message):
-        out = tmp_path / "bench"
-        assert run_cli("bench", "--out-dir", out, flag, value) == 2
-        assert f"invalid configuration: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("memory,code", [(2000 * 24 - 1, 2), (2000 * 24, 0)])
-    def test_largest_ladder_node_count_meets_memory_guard(self, tmp_path, capsys, monkeypatch, memory, code):
-        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
-        out = tmp_path / "bench"
-        assert run_cli("bench", "--out-dir", out, "--ns-ladder", "1000,2000", "--bench-layers", 4,
-                       "--nl-ladder", "4", "--nodes", 1000, "--repeats", 1) == code
-        assert ("invalid configuration: 2000 points need" in capsys.readouterr().err) == (code == 2)
-        assert out.exists() == (code == 0)
-
-    def test_malformed_ladder_exits_2(self, tmp_path, capsys):
-        code = run_cli("bench", "--out-dir", tmp_path, "--ns-ladder", "10,abc")
-        assert code == 2
-        assert "comma-separated" in capsys.readouterr().err
-
-
 class TestParser:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+    def test_help_lists_the_pipeline_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{deploy,plan,validate}" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scatternet.automatic import LayerPlan
 from scatternet.core import (
     Annulus,
     ConfigError,
@@ -13,28 +14,28 @@ from scatternet.core import (
     NetworkConfig,
     Rect,
     Sector,
-    annulus_area,
-    sector_area,
-    sector_density,
     validate_config,
 )
+from scatternet.planned import DeploymentPlan, deploy_planned
+from scatternet.rng import RandomStream
+from scatternet.stats import evaluate_deployment
 
 
 class TestAnnulusArea:
     def test_unit_disk(self):
-        assert annulus_area(0, 1) == pytest.approx(math.pi, rel=1e-15)
+        assert Annulus(0, 1).area() == pytest.approx(math.pi, rel=1e-15)
 
     def test_difference_of_disks(self):
-        assert annulus_area(1, 2) == pytest.approx(3 * math.pi, rel=1e-15)
+        assert Annulus(1, 2).area() == pytest.approx(3 * math.pi, rel=1e-15)
 
     def test_thin_ring(self):
-        assert annulus_area(0.5, 0.7) == pytest.approx(math.pi * 0.24, rel=1e-12)
-        assert annulus_area(0.5, 0.7) == pytest.approx(0.75398, abs=1e-5)
+        assert Annulus(0.5, 0.7).area() == pytest.approx(math.pi * 0.24, rel=1e-12)
+        assert Annulus(0.5, 0.7).area() == pytest.approx(0.75398, abs=1e-5)
 
     @pytest.mark.parametrize("inner,outer", [(1.0, 1.0), (2.0, 1.0), (-0.5, 1.0)])
     def test_domain_errors(self, inner, outer):
         with pytest.raises(ValueError):
-            annulus_area(inner, outer)
+            Annulus(inner, outer)
 
     @given(
         st.floats(min_value=1e-6, max_value=1e6),
@@ -44,31 +45,25 @@ class TestAnnulusArea:
         r, big = sorted([a, b])
         if r == big:
             big = r * 2
-        total = annulus_area(0, big)
-        split = annulus_area(0, r) + annulus_area(r, big)
+        total = Annulus(0, big).area()
+        split = Annulus(0, r).area() + Annulus(r, big).area()
         assert abs(split - total) <= 4 * math.ulp(total)
 
 
 class TestSectorOps:
     def test_area_by_shape(self):
-        assert sector_area(Sector(Disk(1.0), 1)) == pytest.approx(math.pi, rel=1e-15)
-        assert sector_area(Sector(Rect(0, 0, 2, 3), 1)) == pytest.approx(6.0, rel=1e-15)
-        assert sector_area(Sector(Annulus(1, 2), 1)) == pytest.approx(3 * math.pi, rel=1e-15)
+        assert Disk(1.0).area() == pytest.approx(math.pi, rel=1e-15)
+        assert Rect(0, 0, 2, 3).area() == pytest.approx(6.0, rel=1e-15)
+        assert Annulus(1, 2).area() == pytest.approx(3 * math.pi, rel=1e-15)
 
     def test_density_examples(self):
-        assert sector_density(Sector(Disk(1.0), 10)) == pytest.approx(10 / math.pi, rel=1e-15)
-        assert sector_density(Sector(Rect(0, 0, 1, 1), 5)) == pytest.approx(5.0, rel=1e-15)
-        assert sector_density(Sector(Annulus(1, 2), 9)) == pytest.approx(3 / math.pi, rel=1e-15)
-
-    @given(
-        st.integers(min_value=1, max_value=10**6),
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_density_times_area_recovers_count(self, n, inner_frac, width):
-        sec = Sector(Annulus(inner_frac, inner_frac + width), n)
-        recovered = sector_density(sec) * sector_area(sec)
-        assert abs(recovered - n) <= 4 * math.ulp(float(n))
+        # the density the report writes: a sector's count over its area
+        plan = DeploymentPlan(
+            sectors=(Sector(Disk(1.0), 10), Sector(Rect(2, 2, 3, 3), 5), Sector(Annulus(1, 2), 9))
+        )
+        report = evaluate_deployment(deploy_planned(plan, RandomStream(0, 0)))
+        densities = [s.density for s in report.per_sector]
+        assert densities == pytest.approx([10 / math.pi, 5.0, 3 / math.pi], rel=1e-15)
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
@@ -125,28 +120,12 @@ class TestValidateConfig:
 
 class TestLayerSet:
     def test_bounds_and_widths(self):
+        # a run's layers are the sectors of its plan, innermost first
         ls = LayerSet(radius=1.0, boundaries=(0.2, 0.5, 0.7))
         assert ls.layer_count == 4
-        assert ls.bounds(1) == (0.0, 0.2)
-        assert ls.bounds(2) == (0.2, 0.5)
-        assert ls.bounds(4) == (0.7, 1.0)
-        assert ls.widths == pytest.approx((0.2, 0.3, 0.2, 0.3))
-
-    def test_bounds_index_errors(self):
-        ls = LayerSet(radius=1.0, boundaries=(0.5,))
-        with pytest.raises(IndexError):
-            ls.bounds(0)
-        with pytest.raises(IndexError):
-            ls.bounds(3)
-
-    def test_layer_of_half_open_convention(self):
-        ls = LayerSet(radius=1.0, boundaries=(0.2, 0.5))
-        assert ls.layer_of(0.0) == 1
-        assert ls.layer_of(0.2) == 2  # boundary belongs to the outer side
-        assert ls.layer_of(0.49999) == 2
-        assert ls.layer_of(0.5) == 3
-        assert ls.layer_of(1.0) == 3  # outermost interval closed at the rim
-        np.testing.assert_array_equal(ls.layer_of(np.array([0.1, 0.3, 0.9])), [1, 2, 3])
+        shapes = [sec.shape for sec in LayerPlan(4, 4, 1, ls).as_plan().sectors]
+        assert [(s.inner, s.outer) for s in shapes] == [(0.0, 0.2), (0.2, 0.5), (0.5, 0.7), (0.7, 1.0)]
+        assert [s.outer - s.inner for s in shapes] == pytest.approx([0.2, 0.3, 0.2, 0.3])
 
     def test_rejects_bad_boundaries(self):
         with pytest.raises(ValueError):
@@ -161,8 +140,9 @@ class TestLayerSet:
     def test_duplicate_boundary_tolerated(self):
         # a floating collision between draws produces a zero-width layer
         ls = LayerSet(radius=1.0, boundaries=(0.5, 0.5))
-        assert ls.bounds(2) == (0.5, 0.5)
-        assert ls.widths[1] == 0.0
+        layer = LayerPlan(3, 1, 1, ls).as_plan().sectors[1].shape
+        assert (layer.inner, layer.outer) == (0.5, 0.5)
+        assert layer.area() == 0.0
 
 
 class TestDeployment:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -29,7 +30,6 @@ from scatternet.fileio import (
     planned_metadata,
     read_metadata,
     read_points,
-    save_plan,
     write_metadata,
     write_plot_data,
     write_points,
@@ -170,7 +170,7 @@ class TestStreamedWriter:
         d = spread_deployment(size, seed=size)
         path = tmp_path / f"points.{layout}"
         if layout == "xy":
-            write_plot_data(path, None, d)
+            write_points(tmp_path / "points.csv", d, xy_path=path)
         else:
             write_points(path, d, fmt=layout)
         assert path.read_bytes() == ORACLES[layout](d).encode()
@@ -185,11 +185,12 @@ class TestStreamedWriter:
         assert xy_path.read_bytes() == ORACLES["xy"](d).encode()
 
 
-# Every points writer, by name: each writes into ``directory``.
+# Every points layout, by name: each writes into ``directory``; ``.xy`` is
+# written beside the points, here JSON ("csv+xy" pairs it with CSV).
 WRITERS = {
     "csv": lambda d, directory: write_points(directory / "p.csv", d),
     "json": lambda d, directory: write_points(directory / "p.json", d, fmt="json"),
-    "xy": lambda d, directory: write_plot_data(directory / "p.xy", None, d),
+    "xy": lambda d, directory: write_points(directory / "p.json", d, fmt="json", xy_path=directory / "p.xy"),
     "csv+xy": lambda d, directory: write_points(directory / "p.csv", d, xy_path=directory / "p.xy"),
 }
 
@@ -287,8 +288,11 @@ class TestPlanFiles:
                 Sector(Disk(0.25), 3),
             )
         )
+        # the plan objects a planned run's metadata carries form a plan file
+        d = dataclasses.replace(tiny_deployment([], [], []), plan=plan)
+        objects = planned_metadata(d, run=0, seed=0)["plan"]
         path = tmp_path / "plan.json"
-        save_plan(path, plan)
+        path.write_text(json.dumps(objects))
         assert load_plan(path) == plan
 
     def test_schema_errors_name_the_sector(self, tmp_path):
@@ -551,7 +555,8 @@ class TestPlotData:
     def test_xy_and_rings(self, tmp_path):
         cfg = NetworkConfig(radius=1.5, max_layers=3, nodes=30, seed=1)
         d = deploy_automatic(cfg, RandomStream(1, 0))
-        write_plot_data(tmp_path / "run.xy", tmp_path / "run.rings", d)
+        write_points(tmp_path / "run.csv", d, xy_path=tmp_path / "run.xy")
+        write_plot_data(tmp_path / "run.rings", d)
         lines = (tmp_path / "run.xy").read_text().splitlines()
         assert len(lines) == 30
         x0, y0, s0 = lines[0].split()
@@ -564,8 +569,7 @@ class TestPlotData:
     def test_planned_has_no_rings(self, tmp_path):
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 5),))
         d = deploy_planned(plan, RandomStream(0, 0))
-        write_plot_data(tmp_path / "run.xy", tmp_path / "run.rings", d)
-        assert (tmp_path / "run.xy").exists()
+        write_plot_data(tmp_path / "run.rings", d)
         assert not (tmp_path / "run.rings").exists()
 
 

@@ -12,7 +12,7 @@ from scatternet.planned import (
     deploy_planned,
 )
 from scatternet.rng import RandomStream
-from scatternet.stats import count_per_sector, empirical_density_profile, radial_ks
+from scatternet.stats import count_per_sector, evaluate_deployment, radial_ks
 
 
 def sectors(*entries):
@@ -134,7 +134,7 @@ class TestDeployPlanned:
             sectors=(Sector(Annulus(0, 0.5), 80), Sector(Annulus(0.5, 1.0), 20))
         )
         d = deploy_planned(plan, RandomStream(0, 0))
-        profile = dict(empirical_density_profile(d))
+        profile = {s.index: s.density for s in evaluate_deployment(d).per_sector}
         assert profile[1] == pytest.approx(80 / (0.25 * math.pi), rel=1e-12)
         assert profile[2] == pytest.approx(20 / (0.75 * math.pi), rel=1e-12)
         assert profile[1] / profile[2] == pytest.approx(12.0, abs=1e-9)
@@ -201,4 +201,3 @@ class TestDeployPlanned:
             DeploymentPlan(sectors=(Disk(1.0),))  # shape without a count
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 3), Sector(Rect(2, 2, 3, 3), 4)))
         assert plan.total_nodes == 7
-        assert plan.total_area == pytest.approx(math.pi + 1.0, rel=1e-12)

@@ -17,7 +17,6 @@ from scatternet.stats import (
     areal_chi2,
     check_membership,
     count_per_sector,
-    empirical_density_profile,
     equal_area_boundaries,
     evaluate_deployment,
     radial_ks,
@@ -194,6 +193,11 @@ class TestHonestTestSizes:
         assert abs(areal_passes / trials - 0.999) <= 3 * math.sqrt(0.001 * 0.999 / trials)
 
 
+def density_profile(deployment):
+    """Sector index -> the density the report writes for that sector."""
+    return {s.index: s.density for s in evaluate_deployment(deployment).per_sector}
+
+
 class TestDensityProfile:
     def test_two_layer_arithmetic(self):
         cfg = NetworkConfig(radius=1.0, max_layers=2, nodes=100, seed=0)
@@ -201,7 +205,7 @@ class TestDensityProfile:
 
         stub = SequenceStream([0.5] + [0.4, 0.1] * 100)
         d = deploy_automatic(cfg, stub, force_layer_count=2)
-        profile = dict(empirical_density_profile(d))
+        profile = density_profile(d)
         assert profile[1] == pytest.approx(50 / (0.25 * math.pi), rel=1e-12)
         assert profile[2] == pytest.approx(50 / (0.75 * math.pi), rel=1e-12)
         assert profile[1] == pytest.approx(63.66, abs=0.01)
@@ -210,7 +214,7 @@ class TestDensityProfile:
     def test_single_sector_plan(self):
         plan = DeploymentPlan(sectors=(Sector(Disk(2.0), 40),))
         d = deploy_planned(plan, RandomStream(0, 0))
-        assert empirical_density_profile(d) == [(1, pytest.approx(40 / (4 * math.pi), rel=1e-12))]
+        assert density_profile(d) == {1: pytest.approx(40 / (4 * math.pi), rel=1e-12)}
 
     def test_density_variation_across_layers(self):
         # layer areas are random, so realized densities almost surely differ
@@ -218,7 +222,7 @@ class TestDensityProfile:
         spread = 0
         for seed in range(100):
             d = deploy_automatic(cfg, RandomStream(seed, 0))
-            densities = np.array([rho for _, rho in empirical_density_profile(d)])
+            densities = np.array(list(density_profile(d).values()))
             cv = densities.std() / densities.mean()
             spread += cv > 0.01
         assert spread >= 99
@@ -226,7 +230,7 @@ class TestDensityProfile:
     def test_missing_geometry_rejected(self):
         d = Deployment(x=np.zeros(3), y=np.zeros(3), sector=np.ones(3, dtype=np.int64))
         with pytest.raises(ValueError):
-            empirical_density_profile(d)
+            density_profile(d)
 
 
 class TestMembership:
