@@ -55,18 +55,36 @@ def sample_sector(shape, n, stream):
     return x, y
 
 
+def _forced_run_time(config, seed: int, attempt: int) -> float:
+    """CPU time of this thread for one worst-case run (layer count pinned to
+    its maximum).  Thread CPU time leaves out time spent descheduled on a
+    loaded host, and CPU that idle pool threads of earlier numerical calls
+    burn; the run itself is single-threaded numpy."""
+    stream = RandomStream(seed, attempt)
+    start = time.thread_time()
+    deploy_automatic(config, stream, force_layer_count=config.max_layers)
+    return time.thread_time() - start
+
+
 def time_forced_run(radius: float, max_layers: int, nodes: int, seed: int, repeats: int = 3) -> float:
-    """Best-of-``repeats`` CPU time of one worst-case run (layer count pinned
-    to its maximum).  CPU time leaves out time the process spends
-    descheduled, which wall time on a loaded host does not."""
+    """Best-of-``repeats`` CPU time of one worst-case run."""
     config = validate_config(NetworkConfig(radius=radius, max_layers=max_layers, nodes=nodes, seed=seed))
-    best = float("inf")
-    for attempt in range(repeats):
-        stream = RandomStream(seed, attempt)
-        start = time.process_time()
-        deploy_automatic(config, stream, force_layer_count=max_layers)
-        best = min(best, time.process_time() - start)
-    return best
+    return min(_forced_run_time(config, seed, attempt) for attempt in range(repeats))
+
+
+def forced_run_ratio(radius: float, max_layers: int, small: int, large: int, seed: int, pairs: int = 9) -> float:
+    """Median over ``pairs`` back-to-back worst-case runs of the time at
+    ``large`` nodes divided by the time at ``small`` nodes.  Each ratio is
+    taken from two runs made one after the other, so a host whose speed
+    drifts between them moves both; the median drops the odd pair that one
+    load spike hit."""
+    configs = [validate_config(NetworkConfig(radius=radius, max_layers=max_layers, nodes=n, seed=seed))
+               for n in (small, large)]
+    ratios = []
+    for attempt in range(pairs):
+        t_small, t_large = (_forced_run_time(config, seed, attempt) for config in configs)
+        ratios.append(t_large / t_small)
+    return float(np.median(ratios))
 
 
 def fit_exponent(sizes, times) -> float:

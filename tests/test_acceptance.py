@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import SequenceStream, fit_exponent, sample_annulus, time_forced_run
+from helpers import SequenceStream, fit_exponent, forced_run_ratio, sample_annulus, time_forced_run
 from scatternet.automatic import deploy_automatic, split_nodes
 from scatternet.cli import main
 from scatternet.core import NetworkConfig
@@ -142,9 +142,7 @@ def test_criterion_6_cross_process_determinism(tmp_path):
 
 def test_criterion_7_cost_scaling():
     repeats = 7
-    t_small = time_forced_run(1.0, 10, 100_000, seed=0, repeats=repeats)
-    t_large = time_forced_run(1.0, 10, 1_000_000, seed=0, repeats=repeats)
-    ratio = t_large / t_small
+    ratio = forced_run_ratio(1.0, 10, 100_000, 1_000_000, seed=0, pairs=9)
     assert 7.0 <= ratio <= 13.0, f"node-count scaling ratio {ratio:.2f} outside [7, 13]"
 
     ladder = [100, 1000, 10_000]

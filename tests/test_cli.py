@@ -245,9 +245,10 @@ class TestValidateCommand:
         assert run_cli("validate", out / "run_000.csv") == 3
         assert capsys.readouterr().err
 
-    # a tag outside 1..k, k the plan's sector count; "k+1" is resolved per run
-    @pytest.mark.parametrize("tag", ["0", "k+1", str(2**62), str(2**63 - 1)])
-    def test_nonpositive_sector_tag_exits_3(self, tmp_path, capsys, tag):
+    @staticmethod
+    def assert_sector_tag_exits_3(tmp_path, capsys, tag):
+        """Write ``tag`` into the first row of a fresh run; "k+1" stands for
+        one past the plan's sector count k."""
         out = tmp_path / "out"
         run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
                 "--seed", 11, "--out-dir", out)
@@ -261,6 +262,13 @@ class TestValidateCommand:
         assert f"sector tags must lie in 1..{sectors}" in err
         assert "Traceback" not in err
         assert not (out / "run_000.report.json").exists()
+
+    def test_nonpositive_sector_tag_exits_3(self, tmp_path, capsys):
+        self.assert_sector_tag_exits_3(tmp_path, capsys, "0")
+
+    @pytest.mark.parametrize("tag", ["k+1", str(2**62), str(2**63 - 1)])
+    def test_sector_tag_above_sector_count_exits_3(self, tmp_path, capsys, tag):
+        self.assert_sector_tag_exits_3(tmp_path, capsys, tag)
 
     @pytest.mark.parametrize("row", BAD_JSON_POINTS)
     def test_bad_json_point_exits_3(self, tmp_path, capsys, row):
