@@ -6,11 +6,11 @@ polar position of every node inside its layer.  Nodes are split so the
 innermost layer absorbs the division remainder and each outer layer gets an
 equal quota; within a layer the radial transform r = sqrt(L1^2 + u * (L2^2 -
 L1^2)) makes points uniform over the annulus area rather than over the
-radius.
+radius.  The layer count, radii and quotas resolve straight to the run's
+:class:`DeploymentPlan` (a disk, then annuli), the sector model the planned
+mode shares, and ``scatternet.sampling`` fills it.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .rng import discrete_uniform_via_threshold
 from .sampling import fill_in_order
 
 __all__ = [
-    "LayerPlan",
+    "layer_plan",
     "sample_layer_count",
     "split_nodes",
     "sample_layer_radii",
@@ -28,44 +28,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LayerPlan:
-    """Resolved randomness of a run before any node is placed."""
+def layer_plan(layer_set: LayerSet, inner_count: int, outer_count: int) -> DeploymentPlan:
+    """The layers of ``layer_set`` as sectors, innermost first: a disk, then
+    annuli; two equal radii make a zero-width :class:`Circle` of area 0.
 
-    layer_count: int
-    inner_count: int
-    outer_count: int
-    layer_set: LayerSet
-
-    def __post_init__(self):
-        if self.layer_count < 2:
-            raise ValueError(f"layer_count must be at least 2, got {self.layer_count}")
-        if self.outer_count < 1 or self.inner_count < self.outer_count:
-            raise ValueError(
-                f"node quotas must satisfy inner_count >= outer_count >= 1, "
-                f"got ({self.inner_count}, {self.outer_count})"
-            )
-        if self.layer_set.layer_count != self.layer_count:
-            raise ValueError(
-                f"layer_set has {self.layer_set.layer_count} layers, expected {self.layer_count}"
-            )
-
-    @property
-    def total_nodes(self) -> int:
-        return self.inner_count + (self.layer_count - 1) * self.outer_count
-
-    def as_plan(self) -> DeploymentPlan:
-        """The layers as sectors, innermost first: a disk, then annuli; two
-        equal radii make a zero-width :class:`Circle` of area 0."""
-        edges = (0.0, *self.layer_set.boundaries, self.layer_set.radius)
-        sectors = []
-        for inner, outer in zip(edges, edges[1:]):
-            if inner == outer:
-                shape = Circle(inner)
-            else:
-                shape = Annulus(inner, outer) if inner > 0 else Disk(outer)
-            sectors.append(Sector(shape, self.outer_count if sectors else self.inner_count))
-        return DeploymentPlan(sectors=tuple(sectors))
+    The innermost layer holds ``inner_count`` nodes and every other layer
+    ``outer_count``, with ``inner_count >= outer_count >= 1``.
+    """
+    if outer_count < 1 or inner_count < outer_count:
+        raise ValueError(
+            f"node quotas must satisfy inner_count >= outer_count >= 1, "
+            f"got ({inner_count}, {outer_count})"
+        )
+    edges = (0.0, *layer_set.boundaries, layer_set.radius)
+    sectors = []
+    for inner, outer in zip(edges, edges[1:]):
+        if inner == outer:
+            shape = Circle(inner)
+        else:
+            shape = Annulus(inner, outer) if inner > 0 else Disk(outer)
+        sectors.append(Sector(shape, outer_count if sectors else inner_count))
+    return DeploymentPlan(sectors=tuple(sectors))
 
 
 def sample_layer_count(max_layers: int, stream) -> int:
@@ -108,8 +91,9 @@ def sample_layer_radii(radius: float, layers: int, stream) -> LayerSet:
     return LayerSet(radius=radius, boundaries=tuple(float(r) for r in draws))
 
 
-def plan_run(config: NetworkConfig, stream, force_layer_count=None) -> LayerPlan:
-    """Resolve layer count, node quotas and layer radii for one run.
+def plan_run(config: NetworkConfig, stream, force_layer_count=None) -> DeploymentPlan:
+    """Resolve layer count, node quotas and layer radii for one run, as
+    the run's sector plan.
 
     ``force_layer_count`` pins the layer count without consuming the
     layer-count draw; it exists for worst-case cost benchmarking and must lie
@@ -126,12 +110,7 @@ def plan_run(config: NetworkConfig, stream, force_layer_count=None) -> LayerPlan
         layers = int(force_layer_count)
     inner_count, outer_count = split_nodes(config.nodes, layers)
     layer_set = sample_layer_radii(config.radius, layers, stream)
-    return LayerPlan(
-        layer_count=layers,
-        inner_count=inner_count,
-        outer_count=outer_count,
-        layer_set=layer_set,
-    )
+    return layer_plan(layer_set, inner_count, outer_count)
 
 
 def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -> Deployment:
@@ -153,7 +132,7 @@ def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -
         Exactly ``config.nodes`` points tagged with their 1-based layer
         index, plus the layers and their node quotas as a sector plan.
     """
-    plan = plan_run(config, stream, force_layer_count).as_plan()
+    plan = plan_run(config, stream, force_layer_count)
     # Layers cannot overlap, so no overlap scan; all draw from the one stream.
     x, y, tags = fill_in_order(plan.sectors, lambda layer: stream)
     return Deployment(x=x, y=y, sector=tags, config=config, plan=plan)

@@ -148,21 +148,18 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
         return EXIT_IO
     try:
         deployment = deployment_from_files(points_path, meta_path)
-    except (FormatError, OSError, ValueError) as exc:
+    except FormatError as exc:  # its message starts with the faulty file's path
+        _err(str(exc))
+        return EXIT_IO
+    except (OSError, ValueError) as exc:
         _err(f"{points_path}: {exc}")
         return EXIT_IO
 
     code = EXIT_OK
-    expected = {index: quota for index, _, quota in sector_table(deployment)}
-    actual = dict(count_per_sector(deployment))
-    if actual != expected:
-        for index in sorted(set(expected) | set(actual)):
-            if expected.get(index) != actual.get(index):
-                _err(
-                    f"{points_path}: sector {index} has {actual.get(index, 0)} points, "
-                    f"expected {expected.get(index, 0)}"
-                )
-        code = EXIT_VALIDATION
+    for (index, _, quota), (_, count) in zip(sector_table(deployment), count_per_sector(deployment)):
+        if count != quota:
+            _err(f"{points_path}: sector {index} has {count} points, expected {quota}")
+            code = EXIT_VALIDATION
 
     outside = check_membership(deployment)
     if outside.size:

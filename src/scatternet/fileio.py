@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automatic import LayerPlan
+from .automatic import layer_plan
 from .core import Annulus, Deployment, Disk, LayerSet, NetworkConfig, Rect, Sector, validate_config
 from .planned import DeploymentPlan
 
@@ -307,19 +307,20 @@ def _automatic_from_meta(x, y, sector, meta) -> Deployment:
         NetworkConfig(radius=radius, max_layers=ints["n_Lmax"], nodes=ints["n_S"], seed=ints["seed"])
     )
     layer_set = LayerSet(radius=radius, boundaries=tuple(_number(r, "radii entry") for r in meta["radii"]))
-    plan = LayerPlan(ints["n_L"], ints["n_in"], ints["n_out"], layer_set)
+    plan = layer_plan(layer_set, ints["n_in"], ints["n_out"])
     if plan.total_nodes != config.nodes:
         raise FormatError(f"n_in + (n_L - 1) * n_out is {plan.total_nodes} but n_S is {config.nodes}")
-    return Deployment(x=x, y=y, sector=sector, config=config, plan=plan.as_plan())
+    return Deployment(x=x, y=y, sector=sector, config=config, plan=plan)
 
 
 def deployment_from_files(points_path, meta_path) -> Deployment:
     """Rebuild a Deployment (including its geometry) from a run's two files.
 
     Metadata must carry JSON integers where integers are written and agree
-    with itself: ``n_L == len(radii) + 1`` and ``n_in + (n_L - 1) * n_out ==
-    n_S`` for automatic runs.  Every sector tag must name a sector of the
-    plan, 1..k.  Any violation raises :class:`FormatError`.
+    with itself: ``n_L == len(radii) + 1``, ``n_in >= n_out >= 1`` and
+    ``n_in + (n_L - 1) * n_out == n_S`` for automatic runs.  Every sector
+    tag must name a sector of the plan, 1..k.  Any violation raises
+    :class:`FormatError`, whose message starts with the faulty file's path.
     """
     x, y, sector = read_points(points_path)
     meta = read_metadata(meta_path)
@@ -378,9 +379,13 @@ def _obj_to_sector(obj, index: int) -> Sector:
 
 
 def _plan_from_objects(data, where) -> DeploymentPlan:
-    if not isinstance(data, list) or not data:
-        raise FormatError(f"{where}: plan must be a non-empty JSON array of sector objects")
-    return DeploymentPlan(sectors=tuple(_obj_to_sector(obj, i) for i, obj in enumerate(data, start=1)))
+    """The plan of a JSON array of sector objects; every error names ``where``."""
+    try:
+        if not isinstance(data, list) or not data:
+            raise FormatError("plan must be a non-empty JSON array of sector objects")
+        return DeploymentPlan(sectors=tuple(_obj_to_sector(obj, i) for i, obj in enumerate(data, start=1)))
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_plan(path) -> DeploymentPlan:

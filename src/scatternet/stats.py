@@ -1,5 +1,11 @@
 """Goodness-of-fit machinery for validating generated deployments.
 
+``evaluate_deployment`` runs three tests: per circular sector, a radial KS
+test against the area-uniform law; per sector of any shape, one areal
+chi-square over ``AREAL_SHELLS x AREAL_WEDGES`` equal-area cells (shells by
+wedges for an annulus or disk, an equal grid for a rectangle); and, when
+every sector is origin-centered, an angular chi-square over all points.
+
 Every test here is a deterministic function of its input point set.  KS
 critical values come from the asymptotic Kolmogorov distribution (valid for
 the n >= 30 samples we ever feed it); chi-square thresholds come from the
@@ -28,7 +34,6 @@ __all__ = [
     "radial_ks",
     "angular_chi2",
     "areal_chi2",
-    "rect_chi2",
     "equal_area_boundaries",
     "count_per_sector",
     "sector_table",
@@ -43,8 +48,8 @@ DEFAULT_CHI2_ALPHA = 0.001
 MIN_KS_POINTS = 30
 MIN_EXPECTED_PER_BIN = 5
 # Cells of the tests ``evaluate_deployment`` runs: angular bins over the
-# whole network, and equal-area shells by equal wedges (or an equal grid for
-# a rectangle) per sector.
+# whole network, and equal-area shells by equal wedges (or grid rows by
+# columns for a rectangle) per sector.
 ANGULAR_BINS = 36
 AREAL_SHELLS = 8
 AREAL_WEDGES = 8
@@ -133,74 +138,46 @@ def equal_area_boundaries(inner: float, outer: float, shells: int) -> np.ndarray
     return np.sqrt(inner * inner + fractions * (outer * outer - inner * inner))
 
 
-def areal_chi2(
-    x,
-    y,
-    inner: float,
-    outer: float,
-    radial_bins: int = 8,
-    angular_bins: int = 8,
-    alpha: float = DEFAULT_CHI2_ALPHA,
-) -> GofResult:
-    """Two-dimensional uniformity test over an annulus.
+def _bin(offset, width: float, bins: int) -> np.ndarray:
+    """Which of ``bins`` equal slices of ``[0, width)`` each offset falls in,
+    clipped to the end slices."""
+    return np.clip((offset * (bins / width)).astype(np.int64), 0, bins - 1)
 
-    The annulus is cut into ``radial_bins`` equal-area shells crossed with
-    ``angular_bins`` equal wedges, so every cell has the same expected count
-    under area uniformity.
+
+def areal_chi2(x, y, shape, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
+    """Two-dimensional uniformity test over a sector's shape.
+
+    The shape is cut into ``AREAL_SHELLS x AREAL_WEDGES`` cells of equal
+    area, so every cell has the same expected count under area uniformity:
+    an annulus or disk into equal-area shells crossed with equal wedges, a
+    rectangle into an equal grid (rows by columns).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    cells = radial_bins * angular_bins
-    if cells < 2:
-        raise ValueError("areal chi-square needs at least 2 cells")
+    cells = AREAL_SHELLS * AREAL_WEDGES
     n = x.size
-    _require_points(
-        n, MIN_EXPECTED_PER_BIN * cells, f"areal chi-square with {radial_bins}x{angular_bins} cells"
-    )
-    r = np.hypot(x, y)
-    shell_edges = equal_area_boundaries(inner, outer, radial_bins)
-    shell = np.clip(np.searchsorted(shell_edges[1:-1], r, side="right"), 0, radial_bins - 1)
-    angles = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-    wedge = np.clip(
-        (angles * (angular_bins / (2.0 * math.pi))).astype(np.int64), 0, angular_bins - 1
-    )
-    observed = np.bincount(shell * angular_bins + wedge, minlength=cells).astype(np.float64)
-    expected = np.full(cells, n / cells)
-    return _pearson_chi2(observed, expected, alpha)
-
-
-def rect_chi2(
-    x,
-    y,
-    rect: Rect,
-    x_bins: int = 8,
-    y_bins: int = 8,
-    alpha: float = DEFAULT_CHI2_ALPHA,
-) -> GofResult:
-    """Uniformity test over a rectangle via an equal-size (hence equal-area) grid."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    cells = x_bins * y_bins
-    if cells < 2:
-        raise ValueError("rect chi-square needs at least 2 cells")
-    n = x.size
-    _require_points(n, MIN_EXPECTED_PER_BIN * cells, f"rect chi-square with {x_bins}x{y_bins} cells")
-    col = np.clip(((x - rect.x0) * (x_bins / (rect.x1 - rect.x0))).astype(np.int64), 0, x_bins - 1)
-    row = np.clip(((y - rect.y0) * (y_bins / (rect.y1 - rect.y0))).astype(np.int64), 0, y_bins - 1)
-    observed = np.bincount(row * x_bins + col, minlength=cells).astype(np.float64)
-    expected = np.full(cells, n / cells)
-    return _pearson_chi2(observed, expected, alpha)
+    _require_points(n, MIN_EXPECTED_PER_BIN * cells, f"areal chi-square with {cells} cells")
+    if isinstance(shape, Rect):
+        band = _bin(y - shape.y0, shape.y1 - shape.y0, AREAL_SHELLS)
+        slot = _bin(x - shape.x0, shape.x1 - shape.x0, AREAL_WEDGES)
+    else:
+        edges = equal_area_boundaries(shape.inner, shape.outer, AREAL_SHELLS)
+        band = np.clip(np.searchsorted(edges[1:-1], np.hypot(x, y), side="right"), 0, AREAL_SHELLS - 1)
+        slot = _bin(np.mod(np.arctan2(y, x), 2.0 * math.pi), 2.0 * math.pi, AREAL_WEDGES)
+    observed = np.bincount(band * AREAL_WEDGES + slot, minlength=cells).astype(np.float64)
+    return _pearson_chi2(observed, np.full(cells, n / cells), alpha)
 
 
 def count_per_sector(deployment: Deployment):
-    """Exact per-sector tallies as a list of (index, count), 1-based."""
+    """Exact tallies of the plan's k sectors as a list of (index, count),
+    1-based; every tag must lie in 1..k."""
     tags = np.asarray(deployment.sector)
     if tags.size != deployment.x.size or tags.size == 0:
         raise ValueError("deployment has untagged points: sector labels do not match the point set")
-    if np.any(tags < 1):
-        raise ValueError("sector tags must be 1-based positive integers")
-    counts = np.bincount(tags)[1:]
-    return [(i + 1, int(c)) for i, c in enumerate(counts)]
+    k = len(sector_table(deployment))
+    if tags.min() < 1 or tags.max() > k:
+        raise ValueError(f"sector tags must lie in 1..{k}")
+    return list(enumerate(np.bincount(tags, minlength=k + 1)[1:].tolist(), start=1))
 
 
 def sector_table(deployment: Deployment):
@@ -307,7 +284,7 @@ def evaluate_deployment(
     recorded as skipped rather than failed; the network-wide angular test
     only applies when every sector is origin-centered.
     """
-    counts = dict(count_per_sector(deployment))
+    counts = count_per_sector(deployment)
     table = sector_table(deployment)
 
     per_sector = []
@@ -316,8 +293,7 @@ def evaluate_deployment(
     skipped = []
     all_circular = True
     min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
-    for (index, shape, _), members in zip(table, _members(deployment, table)):
-        count = counts.get(index, 0)
+    for (index, shape, _), (_, count), members in zip(table, counts, _members(deployment, table)):
         area = shape.area()
         density = count / area if area > 0 else math.inf
         per_sector.append(SectorStat(index=index, count=count, area=area, density=density))
@@ -334,11 +310,8 @@ def evaluate_deployment(
                 skipped.append((index, "radial_ks", f"{count} < {MIN_KS_POINTS} points"))
         if count < min_areal:
             skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
-        elif isinstance(shape, Rect):
-            areal.append((index, rect_chi2(sx, sy, shape, AREAL_SHELLS, AREAL_WEDGES, alpha=chi2_alpha)))
         else:
-            cells = (AREAL_SHELLS, AREAL_WEDGES)
-            areal.append((index, areal_chi2(sx, sy, shape.inner, shape.outer, *cells, alpha=chi2_alpha)))
+            areal.append((index, areal_chi2(sx, sy, shape, alpha=chi2_alpha)))
         if isinstance(shape, Rect):
             all_circular = False
             skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))

@@ -16,7 +16,7 @@ from scipy import stats as sps
 from helpers import SequenceStream, fit_exponent, forced_run_ratio, sample_annulus, time_forced_run
 from scatternet.automatic import deploy_automatic, split_nodes
 from scatternet.cli import main
-from scatternet.core import NetworkConfig
+from scatternet.core import Annulus, NetworkConfig
 from scatternet.fileio import automatic_metadata, load_plan
 from scatternet.planned import deploy_planned
 from scatternet.rng import RandomStream, discrete_uniform_via_threshold
@@ -94,13 +94,13 @@ def test_criterion_3_annulus_sampling_law(bounds):
 def test_criterion_4_areal_uniformity_both_outcomes():
     n = 10_000
     x, y = sample_annulus(0.5, 1.0, n, RandomStream(123, 0))
-    good = areal_chi2(x, y, 0.5, 1.0, 8, 8, alpha=0.001)
+    good = areal_chi2(x, y, Annulus(0.5, 1.0), alpha=0.001)
     assert good.passed, f"correct sampler rejected: {good}"
 
     u = RandomStream(124, 0).uniform_block(2 * n)
     r = 0.5 + u[0::2] * 0.5  # radius-uniform, the wrong law
     theta = 2 * math.pi * u[1::2]
-    bad = areal_chi2(r * np.cos(theta), r * np.sin(theta), 0.5, 1.0, 8, 8, alpha=0.001)
+    bad = areal_chi2(r * np.cos(theta), r * np.sin(theta), Annulus(0.5, 1.0), alpha=0.001)
     assert not bad.passed, "wrong-law sampler was not rejected"
     report(f"4: PASS areal 8x8 chi-square: correct {good.statistic:.1f} < {good.threshold:.1f}, "
            f"wrong {bad.statistic:.1f} rejected")

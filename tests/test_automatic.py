@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import SequenceStream, sample_annulus
 from scatternet.automatic import (
-    LayerPlan,
     deploy_automatic,
+    layer_plan,
     plan_run,
     sample_layer_count,
     sample_layer_radii,
@@ -148,10 +148,10 @@ class TestLayerPlan:
     def test_quota_invariants_enforced(self):
         ls = LayerSet(radius=1.0, boundaries=(0.5,))
         with pytest.raises(ValueError):
-            LayerPlan(layer_count=2, inner_count=1, outer_count=2, layer_set=ls)
+            layer_plan(ls, inner_count=1, outer_count=2)
         with pytest.raises(ValueError):
-            LayerPlan(layer_count=3, inner_count=2, outer_count=2, layer_set=ls)
-        plan = LayerPlan(layer_count=2, inner_count=3, outer_count=2, layer_set=ls)
+            layer_plan(ls, inner_count=2, outer_count=0)
+        plan = layer_plan(ls, inner_count=3, outer_count=2)
         assert plan.total_nodes == 5
 
     def test_plan_run_consumes_expected_draws(self):
@@ -159,15 +159,15 @@ class TestLayerPlan:
         stub = SequenceStream([0.999, 0.7, 0.2, 0.5, 0.9])
         cfg = NetworkConfig(radius=1.0, max_layers=5, nodes=100, seed=0)
         plan = plan_run(cfg, stub)
-        assert plan.layer_count == 5
+        assert len(plan.sectors) == 5
         assert stub.consumed == 5
-        assert plan.layer_set.boundaries == (0.2, 0.5, 0.7, 0.9)
+        assert [sec.shape.outer for sec in plan.sectors] == [0.2, 0.5, 0.7, 0.9, 1.0]
 
     def test_forced_layer_count_skips_the_count_draw(self):
         stub = SequenceStream([0.7, 0.2])
         cfg = NetworkConfig(radius=1.0, max_layers=5, nodes=100, seed=0)
         plan = plan_run(cfg, stub, force_layer_count=3)
-        assert plan.layer_count == 3
+        assert len(plan.sectors) == 3
         assert stub.consumed == 2
         with pytest.raises(ValueError):
             plan_run(cfg, SequenceStream([]), force_layer_count=6)

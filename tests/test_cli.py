@@ -270,6 +270,27 @@ class TestValidateCommand:
     def test_sector_tag_above_sector_count_exits_3(self, tmp_path, capsys, tag):
         self.assert_sector_tag_exits_3(tmp_path, capsys, tag)
 
+    def test_errors_name_the_faulty_file_once(self, tmp_path, capsys, two_annulus_plan):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100, "--seed", 11, "--out-dir", out)
+        path = out / "run_000.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "abc,0.1,1"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("validate", path) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:3: " in err and err.count(str(path)) == 1
+
+        planned_out = tmp_path / "planned"
+        run_cli("plan", "--plan", two_annulus_plan, "--seed", 5, "--out-dir", planned_out)
+        meta_path = planned_out / "run_000.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "plan": meta["plan"] + [{"shape": "hex", "n": 3}]}))
+        assert run_cli("validate", planned_out / "run_000.csv") == 3
+        err = capsys.readouterr().err
+        assert f"{meta_path}: sector 3: unknown shape 'hex'" in err
+        assert err.count(str(meta_path)) == 1 and "run_000.csv" not in err
+
     @pytest.mark.parametrize("row", BAD_JSON_POINTS)
     def test_bad_json_point_exits_3(self, tmp_path, capsys, row):
         out = tmp_path / "out"
@@ -286,8 +307,8 @@ class TestValidateCommand:
         uniforms = np.random.default_rng(8).random(2 * cfg.nodes).tolist()
         d = deploy_automatic(cfg, SequenceStream([0.5, 0.5] + uniforms), force_layer_count=3)
         resolved = plan_run(cfg, SequenceStream([0.5, 0.5]), force_layer_count=3)
-        assert d.layer_set == resolved.layer_set and d.layer_set.boundaries == (0.5, 0.5)
-        assert (d.inner_count, d.outer_count) == (resolved.inner_count, resolved.outer_count) == (300, 300)
+        assert d.plan == resolved and d.layer_set.boundaries == (0.5, 0.5)
+        assert (d.inner_count, d.outer_count) == (300, 300)
         assert d.plan.sectors[1].shape == Circle(0.5)
         write_points(tmp_path / "run_000.csv", d)
         write_metadata(tmp_path / "run_000.meta.json", automatic_metadata(d, 0))

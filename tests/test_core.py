@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scatternet.automatic import LayerPlan
+from scatternet.automatic import layer_plan
 from scatternet.core import (
     Annulus,
     ConfigError,
@@ -123,7 +123,7 @@ class TestLayerSet:
         # a run's layers are the sectors of its plan, innermost first
         ls = LayerSet(radius=1.0, boundaries=(0.2, 0.5, 0.7))
         assert ls.layer_count == 4
-        shapes = [sec.shape for sec in LayerPlan(4, 4, 1, ls).as_plan().sectors]
+        shapes = [sec.shape for sec in layer_plan(ls, 4, 1).sectors]
         assert [(s.inner, s.outer) for s in shapes] == [(0.0, 0.2), (0.2, 0.5), (0.5, 0.7), (0.7, 1.0)]
         assert [s.outer - s.inner for s in shapes] == pytest.approx([0.2, 0.3, 0.2, 0.3])
 
@@ -140,7 +140,7 @@ class TestLayerSet:
     def test_duplicate_boundary_tolerated(self):
         # a floating collision between draws produces a zero-width layer
         ls = LayerSet(radius=1.0, boundaries=(0.5, 0.5))
-        layer = LayerPlan(3, 1, 1, ls).as_plan().sectors[1].shape
+        layer = layer_plan(ls, 1, 1).sectors[1].shape
         assert (layer.inner, layer.outer) == (0.5, 0.5)
         assert layer.area() == 0.0
 

@@ -15,6 +15,7 @@ import pytest
 from scatternet.cli import main
 
 PLANS = Path(__file__).parent.parent / "plans"
+DATA = Path(__file__).parent / "data"
 
 SMALL_REGIME = ["deploy", "--size", "1", "--max-layers", "5", "--nodes", "100", "--seed", "42"]
 # 50000 points span four chunks of the points writer (16384 rows each).
@@ -29,6 +30,8 @@ RUNS = {
     "plan-two-annulus": [
         "plan", "--plan", str(PLANS / "two_annulus_80_20.json"), "--seed", "3", "--runs", "2", "--plot-data",
     ],
+    # 400 points in the rectangle: enough for its 8x8-cell areal chi-square.
+    "plan-rect-grid": ["plan", "--plan", str(DATA / "rect_grid.json"), "--seed", "3", "--runs", "2", "--plot-data"],
 }
 
 GOLDEN = {
@@ -89,6 +92,16 @@ GOLDEN = {
         "run_001.meta.json": "50bfe91842e358a07915adc9b48f519676ddb8fe6888eeb5abe44393f3942da4",
         "run_001.report.json": "1a8747ec3b71f5e617c14204c50769e908177d10400a94f8c035428b1d5a0861",
         "run_001.xy": "de9017f77c800a86af2689608f0b7b9efcf3964dc2b78d5d965ed25abf4952f7",
+    },
+    "plan-rect-grid": {
+        "run_000.csv": "299167bcae2d82b9e9ae5cf305476f8f8d18ef293fce06d4ad05a40af52782fa",
+        "run_000.meta.json": "f4b9bbba5f95d5ad99a0fb35a679b4b5e9c4697c82d7b94b30d7d93280826095",
+        "run_000.report.json": "395274effdbbce7ad7fe23fe40675d1e817d59ef44c1ebaba72230b1ea7d7cfb",
+        "run_000.xy": "fb10d0872bd3d5cc2cea665d184365352be6a2351f6885994ba92f8de7c6520c",
+        "run_001.csv": "750179d23d4856aa91e878523f232f526d1d1f80fe11cb1a6fb349f31314115a",
+        "run_001.meta.json": "4134bcd96c44460517aabafd2321666d03f5f4e46bf795ef6f8a50088e39e6f1",
+        "run_001.report.json": "d600a8d8f2915e50f4580a4ba3266bff2c136a20ad95dbb368ad648fca6bf0d6",
+        "run_001.xy": "7980d2666a9d0cd7685c5659206a7d7126cc8c04b0e4ba0a416ce05d268f4240",
     },
 }
 

@@ -20,7 +20,6 @@ from scatternet.stats import (
     equal_area_boundaries,
     evaluate_deployment,
     radial_ks,
-    rect_chi2,
 )
 
 
@@ -52,9 +51,20 @@ class TestCountPerSector:
             count_per_sector(empty)
 
     def test_nonpositive_tags_rejected(self):
-        d = Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([0, 1]))
-        with pytest.raises(ValueError, match="1-based"):
+        plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 1), Sector(Annulus(1.0, 2.0), 1)))
+        d = Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([0, 1]), plan=plan)
+        with pytest.raises(ValueError, match=r"1\.\.2"):
             count_per_sector(d)
+
+    @pytest.mark.parametrize("tag", [2, 2**62])
+    def test_tags_above_sector_count_rejected(self, tag):
+        # the count array is sized by the plan, never by the largest tag
+        plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 2),))
+        d = Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([1, tag], dtype=np.int64), plan=plan)
+        with pytest.raises(ValueError, match=r"1\.\.1"):
+            count_per_sector(d)
+        with pytest.raises(ValueError, match=r"1\.\.1"):
+            evaluate_deployment(d)
 
 
 class TestRadialKs:
@@ -153,25 +163,25 @@ class TestArealChi2:
 
     def test_correct_sampler_passes(self):
         x, y = sample_annulus(0.5, 1.0, 10_000, RandomStream(40, 0))
-        result = areal_chi2(x, y, 0.5, 1.0, 8, 8, alpha=0.001)
+        result = areal_chi2(x, y, Annulus(0.5, 1.0), alpha=0.001)
         assert result.passed
         assert result.dof == 63
 
     def test_radius_uniform_sampler_fails(self):
         x, y = radius_uniform_points(0.0, 1.0, 10_000, RandomStream(41, 0))
-        result = areal_chi2(x, y, 0.0, 1.0, 8, 8, alpha=0.001)
+        result = areal_chi2(x, y, Disk(1.0), alpha=0.001)
         assert not result.passed
 
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSampleError):
-            areal_chi2(np.ones(100), np.zeros(100), 0.0, 2.0, 8, 8)
+            areal_chi2(np.ones(100), np.zeros(100), Disk(2.0))
 
     def test_rect_grid(self):
         plan = DeploymentPlan(sectors=(Sector(Rect(0, 0, 2, 1), 10_000),))
         d = deploy_planned(plan, RandomStream(3, 0))
-        assert rect_chi2(d.x, d.y, plan.sectors[0].shape, 8, 8, alpha=0.001).passed
+        assert areal_chi2(d.x, d.y, plan.sectors[0].shape, alpha=0.001).passed
         clustered = np.full(10_000, 0.01)
-        assert not rect_chi2(clustered, clustered / 2, plan.sectors[0].shape, 8, 8).passed
+        assert not areal_chi2(clustered, clustered / 2, plan.sectors[0].shape).passed
 
 
 class TestHonestTestSizes:
@@ -187,7 +197,7 @@ class TestHonestTestSizes:
             x, y = sample_annulus(0.3, 1.0, n, RandomStream(seed, 3))
             ks_passes += radial_ks(x, y, 0.3, 1.0, alpha=0.01).passed
             ang_passes += angular_chi2(x, y, bins=36, alpha=0.001).passed
-            areal_passes += areal_chi2(x, y, 0.3, 1.0, 8, 8, alpha=0.001).passed
+            areal_passes += areal_chi2(x, y, Annulus(0.3, 1.0), alpha=0.001).passed
         assert abs(ks_passes / trials - 0.99) <= 3 * math.sqrt(0.01 * 0.99 / trials)
         assert abs(ang_passes / trials - 0.999) <= 3 * math.sqrt(0.001 * 0.999 / trials)
         assert abs(areal_passes / trials - 0.999) <= 3 * math.sqrt(0.001 * 0.999 / trials)
