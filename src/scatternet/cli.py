@@ -139,7 +139,7 @@ def cmd_generate(args) -> int:
 
 
 def _validate_one(points_path: Path, ks_alpha: float) -> int:
-    meta_path = points_path.with_suffix("").with_suffix(".meta.json")
+    meta_path = points_path.with_name(f"{points_path.stem}.meta.json")
     if not meta_path.exists():
         _err(f"{points_path}: metadata file {meta_path} not found")
         return EXIT_IO
@@ -170,7 +170,7 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
         code = EXIT_VALIDATION
 
     report = evaluate_deployment(deployment, ks_alpha=ks_alpha, chi2_alpha=DEFAULT_CHI2_ALPHA)
-    write_report(points_path.with_suffix("").with_suffix(".report.json"), report)
+    write_report(points_path.with_name(f"{points_path.stem}.report.json"), report)
     for test, sector, result in report.failures():
         where = f"sector {sector}" if sector is not None else "all points"
         _err(

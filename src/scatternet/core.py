@@ -63,12 +63,15 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Return ``config`` unchanged if every invariant holds.
 
     Raises :class:`ConfigError` listing all violated invariants otherwise.
+    The disk area must be a positive finite number, as for a plan sector, so
+    that squaring the radius neither overflows nor underflows to 0.
     ``nodes >= max_layers`` is required so that even the largest possible
     layer count leaves at least one node for every outer layer.
     """
     violations = []
-    if not (config.radius > 0 and math.isfinite(config.radius)):
-        violations.append(f"radius must be a positive finite number, got {config.radius}")
+    area = math.pi * (config.radius * config.radius)  # inf, not OverflowError, past the float range
+    if not (config.radius > 0 and 0 < area < math.inf):
+        violations.append(f"radius must be positive with a positive finite disk area pi*L^2, got {config.radius}")
     if config.max_layers < 2:
         violations.append(f"max_layers must be at least 2, got {config.max_layers}")
     if config.nodes < config.max_layers:

@@ -9,10 +9,11 @@ by any sector is intentionally left empty.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import Deployment, Rect, Sector
 from .sampling import fill_in_order
@@ -65,11 +66,6 @@ class DeploymentPlan:
         return sum(sec.count for sec in self.sectors)
 
 
-def _radial_interval(shape):
-    """Open radial interval occupied by a circular shape, None for rectangles."""
-    return None if isinstance(shape, Rect) else (shape.inner, shape.outer)
-
-
 def _box_origin_distances(rect: Rect):
     """Min and max distance from the origin to the closed rectangle."""
     dx = max(rect.x0, -rect.x1, 0.0)
@@ -83,46 +79,40 @@ def _box_origin_distances(rect: Rect):
     return dmin, dmax
 
 
-def _shapes_overlap(a, b) -> bool:
-    """True iff the interiors of the two shapes intersect.
-
-    All tests are exact; boundary contact (shared edge or circle) does not
-    count as overlap, matching the intent that sectors tile a region
-    edge-to-edge.
-    """
-    ia = _radial_interval(a)
-    ib = _radial_interval(b)
-    if ia is not None and ib is not None:
-        return ia[0] < ib[1] and ib[0] < ia[1]
-    if ia is None and ib is None:
-        return a.x0 < b.x1 and b.x0 < a.x1 and a.y0 < b.y1 and b.y0 < a.y1
-    interval, rect = (ib, a) if ia is None else (ia, b)
-    dmin, dmax = _box_origin_distances(rect)
-    # The distance to the origin is continuous over the rectangle, so it
-    # attains every value in [dmin, dmax]; the interiors meet exactly when
-    # that range strictly straddles the annulus interval.
-    return dmin < interval[1] and dmax > interval[0]
-
-
-@functools.lru_cache(maxsize=1)
-def _scan_pairs(sectors: tuple) -> OverlapCheck:
-    # One cached result: the CLI checks a plan up front and again in every
-    # run's ``deploy_planned``, and the scan is O(k^2) in the sector count.
-    for i in range(len(sectors)):
-        for j in range(i + 1, len(sectors)):
-            if _shapes_overlap(sectors[i].shape, sectors[j].shape):
-                return OverlapCheck(ok=False, pair=(i + 1, j + 1))
-    return OverlapCheck(ok=True)
-
-
 def check_non_overlap(sectors) -> OverlapCheck:
     """Scan all sector pairs for interior intersection.
 
     Returns an :class:`OverlapCheck` naming the first offending pair (by
-    1-based plan position) if any.  The result for the most recent sector
-    sequence is remembered, so checking the same plan again costs no scan.
+    1-based plan position) if any.  All tests are exact; boundary contact
+    (shared edge or circle) does not count as overlap, matching the intent
+    that sectors tile a region edge-to-edge.
+
+    Every shape spans a range of distances from the origin: ``[inner,
+    outer]`` for a circular shape, and ``[dmin, dmax]`` for a rectangle,
+    whose continuous distance attains every value between.  Two shapes
+    overlap exactly when each range starts strictly before the other ends,
+    except that two rectangles overlap exactly when their boxes do.  Row
+    ``i`` tests itself against every later sector at once.
     """
-    return _scan_pairs(tuple(sectors))
+    shapes = [sec.shape for sec in sectors]
+    rect = np.array([isinstance(s, Rect) for s in shapes], dtype=bool)
+    lo, hi = np.array(
+        [_box_origin_distances(s) if isinstance(s, Rect) else (s.inner, s.outer) for s in shapes],
+        dtype=np.float64,
+    ).reshape(-1, 2).T
+    x0, y0, x1, y1 = np.array(
+        [(s.x0, s.y0, s.x1, s.y1) if isinstance(s, Rect) else (0.0,) * 4 for s in shapes],
+        dtype=np.float64,
+    ).reshape(-1, 4).T
+    for i in range(len(shapes) - 1):
+        j = slice(i + 1, None)
+        hit = (lo[i] < hi[j]) & (lo[j] < hi[i])
+        if rect[i]:
+            boxes = (x0[i] < x1[j]) & (x0[j] < x1[i]) & (y0[i] < y1[j]) & (y0[j] < y1[i])
+            hit = np.where(rect[j], boxes, hit)
+        if hit.any():
+            return OverlapCheck(ok=False, pair=(i + 1, i + 2 + int(hit.argmax())))
+    return OverlapCheck(ok=True)
 
 
 def deploy_planned(plan: DeploymentPlan, stream) -> Deployment:

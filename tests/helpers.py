@@ -1,10 +1,12 @@
 import json
+import math
 import time
 
 import numpy as np
 
 from scatternet.automatic import deploy_automatic
-from scatternet.core import NetworkConfig, validate_config
+from scatternet.core import NetworkConfig, Rect, validate_config
+from scatternet.planned import OverlapCheck
 from scatternet.rng import RandomStream
 from scatternet.sampling import fill_annulus, fill_sector
 
@@ -114,6 +116,8 @@ BAD_AUTOMATIC_METADATA = [
     ("n_in", "inner + 1"),
     ("n_S", True),
     ("L", float("inf")),
+    ("L", 1e200),
+    ("L", 1e-200),
 ]
 
 
@@ -197,3 +201,30 @@ def xy_text(d):
 
 
 ORACLES = {"csv": csv_text, "json": json_text, "xy": xy_text}
+
+
+# The scalar pair scan the array overlap scan replaced: the oracle for its
+# result.
+def _radial_range(shape):
+    """Distances from the origin that ``shape`` spans."""
+    if not isinstance(shape, Rect):
+        return shape.inner, shape.outer
+    dx = max(shape.x0, -shape.x1, 0.0)
+    dy = max(shape.y0, -shape.y1, 0.0)
+    corners = [math.hypot(cx, cy) for cx in (shape.x0, shape.x1) for cy in (shape.y0, shape.y1)]
+    return math.hypot(dx, dy), max(corners)
+
+
+def _shapes_overlap(a, b) -> bool:
+    if isinstance(a, Rect) and isinstance(b, Rect):
+        return a.x0 < b.x1 and b.x0 < a.x1 and a.y0 < b.y1 and b.y0 < a.y1
+    (a_lo, a_hi), (b_lo, b_hi) = _radial_range(a), _radial_range(b)
+    return a_lo < b_hi and b_lo < a_hi
+
+
+def pair_scan(sectors) -> OverlapCheck:
+    for i in range(len(sectors)):
+        for j in range(i + 1, len(sectors)):
+            if _shapes_overlap(sectors[i].shape, sectors[j].shape):
+                return OverlapCheck(ok=False, pair=(i + 1, j + 1))
+    return OverlapCheck(ok=True)

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from helpers import (
     with_csv_point,
     with_json_point,
 )
-from scatternet import cli, planned
+from scatternet import cli
 from scatternet.cli import main
 from scatternet.automatic import deploy_automatic, plan_run
 from scatternet.core import Circle, NetworkConfig
@@ -26,8 +25,6 @@ from scatternet.fileio import (
     write_points,
 )
 from scatternet.stats import check_membership
-
-PLANS = Path(__file__).parent.parent / "plans"
 
 
 def run_cli(*argv):
@@ -63,10 +60,20 @@ class TestDeployCommand:
         assert np.all(counts[1:] == meta["n_out"])
 
     def test_invalid_size_exits_2(self, tmp_path, capsys):
-        code = run_cli("deploy", "--size", 0, "--max-layers", 5, "--nodes", 100,
-                       "--out-dir", tmp_path)
-        assert code == 2
-        assert "radius" in capsys.readouterr().err
+        # 1e200 and 1.4e154 overflow L^2, and 1e-200 underflows it to 0
+        for size in (0, 1e200, 1.4e154, 1e-200):
+            out = tmp_path / "out"
+            code = run_cli("deploy", "--size", size, "--max-layers", 5, "--nodes", 100,
+                           "--out-dir", out)
+            assert code == 2, size
+            assert "invalid configuration: radius" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("size", [1e153, 1e-150])
+    def test_extreme_finite_area_size_validates(self, tmp_path, size):
+        out = tmp_path / "out"
+        assert run_cli("deploy", "--size", size, "--max-layers", 5, "--nodes", 100, "--out-dir", out) == 0
+        assert run_cli("validate", out / "run_000.csv") == 0
 
     def test_zero_runs_exits_2(self, tmp_path):
         code = run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 100,
@@ -150,15 +157,6 @@ class TestPlanCommand:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overlap_scan_runs_once_per_invocation(self, tmp_path, monkeypatch):
-        pairs = []
-        overlap = planned._shapes_overlap
-        monkeypatch.setattr(planned, "_shapes_overlap", lambda a, b: pairs.append((a, b)) or overlap(a, b))
-        planned._scan_pairs.cache_clear()
-        code = run_cli("plan", "--plan", PLANS / "mixed_demo.json", "--runs", 3, "--out-dir", tmp_path / "out")
-        assert code == 0
-        assert len(pairs) == 3  # one scan over the plan's three sector pairs
-
     def test_missing_plan_file_exits_3(self, tmp_path):
         assert run_cli("plan", "--plan", tmp_path / "nope.json", "--out-dir", tmp_path) == 3
 
@@ -218,6 +216,18 @@ class TestValidateCommand:
                 "--seed", 11, "--out-dir", out)
         (out / "run_000.meta.json").unlink()
         assert run_cli("validate", out / "run_000.csv") == 3
+
+    def test_siblings_share_the_full_stem(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out)
+        dotted = tmp_path / "dotted"
+        dotted.mkdir()
+        (dotted / "x.y.csv").write_bytes((out / "run_000.csv").read_bytes())
+        (dotted / "x.meta.json").write_bytes((out / "run_000.meta.json").read_bytes())
+        assert run_cli("validate", dotted / "x.y.csv") == 3
+        assert "x.y.meta.json" in capsys.readouterr().err
+        assert not (dotted / "x.report.json").exists()
 
     def test_corrupt_points_exit_3(self, tmp_path):
         out = tmp_path / "out"

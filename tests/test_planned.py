@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import SequenceStream, sample_sector
-from scatternet.core import Annulus, Disk, Rect, Sector
+from helpers import SequenceStream, pair_scan, sample_sector
+from scatternet.core import Annulus, Circle, Disk, Rect, Sector
 from scatternet.planned import (
     DeploymentPlan,
+    OverlapCheck,
     OverlapError,
     check_non_overlap,
     deploy_planned,
@@ -66,6 +69,47 @@ class TestCheckNonOverlap:
         apart = sectors((Rect(0, 0, 1, 1), 1), (Rect(2, 2, 3, 3), 1))
         crossing = sectors((Rect(0, 0, 2, 2), 1), (Rect(1, 1, 3, 3), 1))
         assert [check_non_overlap(s).ok for s in (apart, apart, crossing, apart)] == [True, True, False, True]
+
+
+# Coordinates on a coarse grid, so that shared edges, touching circles,
+# nested shapes and rectangles in annulus holes are common; hypot(1.5, 2) is
+# exactly 2.5, so box corners also land on circles.
+GRID = [k / 2 for k in range(-5, 6)]
+RADII = [g for g in GRID if g > 0]
+
+
+def _span(values):
+    return st.lists(st.sampled_from(values), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+SHAPES = st.one_of(
+    st.sampled_from(RADII).map(Disk),
+    st.sampled_from(RADII).map(Circle),
+    _span([0.0] + RADII).map(lambda s: Annulus(*s)),
+    st.tuples(_span(GRID), _span(GRID)).map(lambda s: Rect(s[0][0], s[1][0], s[0][1], s[1][1])),
+)
+
+
+class TestOverlapScan:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(SHAPES, min_size=1, max_size=8))
+    def test_matches_the_pair_scan(self, shapes):
+        plan = sectors(*((shape, 1) for shape in shapes))
+        assert check_non_overlap(plan) == pair_scan(plan)
+
+    def test_ten_thousand_sectors(self):
+        rings = sectors(*((Annulus(float(r), r + 1.0), 1) for r in range(9000)))
+        boxes = sectors(*((Rect(10000.0 + c, 0.0, 10001.0 + c, 1.0), 1) for c in range(1000)))
+        extras = {
+            None: [],
+            (4321, 10001): sectors((Annulus(4320.25, 4320.75), 1)),  # inside ring 4321
+            (9500, 10001): sectors((Rect(10499.25, 0.25, 10499.75, 0.75), 1)),  # inside box 500
+        }
+        start = time.thread_time()
+        checks = {pair: check_non_overlap(rings + boxes + extra) for pair, extra in extras.items()}
+        elapsed = time.thread_time() - start
+        assert checks == {pair: OverlapCheck(ok=pair is None, pair=pair) for pair in extras}
+        assert elapsed < 5.0
 
 
 class TestSamplePointInSector:
