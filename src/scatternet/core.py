@@ -234,9 +234,9 @@ class Deployment:
     :class:`Circle`), the inner quota first.  ``config`` is set only for
     automatic runs; their layer geometry and quotas read back from the plan
     as ``layer_set``, ``inner_count`` and ``outer_count``, which are None
-    otherwise.  ``sector`` may legitimately be shorter than the coordinate
-    arrays only for malformed external inputs, which downstream tallies
-    reject.
+    otherwise.  Construction raises ``ValueError`` unless ``x`` and ``y`` are
+    1-D arrays of finite coordinates and ``sector`` holds one integer tag per
+    point, in 1..k for a plan of k sectors; an empty point set is valid.
     """
 
     x: np.ndarray
@@ -246,8 +246,18 @@ class Deployment:
     plan: Optional["DeploymentPlan"] = None
 
     def __post_init__(self):
-        if self.x.shape != self.y.shape:
-            raise ValueError("x and y must have identical shapes")
+        x, y, sector = self.x, self.y, self.sector
+        if not (x.ndim == 1 and x.shape == y.shape):
+            raise ValueError(f"x and y must be 1-D arrays of one shape, got {x.shape} and {y.shape}")
+        if sector.shape != x.shape:
+            raise ValueError(f"points need one sector tag each, got {x.size} points and {sector.size} tags")
+        if not np.issubdtype(sector.dtype, np.integer):
+            raise ValueError(f"sector tags must be integers, got {sector.dtype}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("points need finite coordinates")
+        k = 0 if self.plan is None else len(self.plan.sectors)  # no plan: tags are free
+        if k and sector.size and not 1 <= sector.min() <= sector.max() <= k:
+            raise ValueError(f"sector tags must lie in 1..{k}")
 
     def __len__(self) -> int:
         return int(self.x.size)

@@ -81,17 +81,9 @@ def _stream_points(deployment: Deployment, targets) -> None:
     """Write the point set to every ``(path, layout)`` of ``targets``.
 
     Rows are formatted ``_ROW_CHUNK`` at a time, once for all targets, so
-    memory beyond the point arrays stays bounded by the chunk.  Coordinates
-    must be finite (JSON has no spelling for non-finite numbers, and
-    ``read_points`` rejects them in every format) and every point needs its
-    sector tag; a point set that breaks either rule raises ``ValueError``
-    before any file is opened.
+    memory beyond the point arrays stays bounded by the chunk.
     """
     x, y, sector = deployment.x, deployment.y, deployment.sector
-    if sector.size != x.size:
-        raise ValueError(f"points need one sector tag each, got {x.size} points and {sector.size} tags")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("points need finite coordinates")
     with ExitStack() as stack:
         files = [(stack.enter_context(Path(path).open("w")), _LAYOUTS[layout]) for path, layout in targets]
         for handle, (head, *_) in files:
@@ -117,9 +109,7 @@ def write_points(path, deployment: Deployment, fmt: str = "csv", xy_path=None) -
 
     With ``xy_path``, the same pass also writes the scatter data for
     external plotting there: the rows separated by whitespace, so each
-    coordinate is turned into text once.  Coordinates must be finite and
-    every point needs a sector tag, else ``ValueError`` and no file is
-    written.
+    coordinate is turned into text once.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown points format {fmt!r}")
@@ -145,10 +135,13 @@ def _json_column(rows, column: int, types: set, dtype):
 
 
 def _json_points(path):
-    """Arrays of a points JSON file whose every point is ``[x, y, sector]``:
+    """Arrays of a points JSON file whose ``columns`` are exactly
+    ``["x", "y", "sector"]`` and whose every point is ``[x, y, sector]``:
     two finite JSON numbers and a JSON integer (not a boolean)."""
     payload = _load_json(path)
-    rows = payload.get("points") if isinstance(payload, dict) else None
+    if not isinstance(payload, dict) or payload.get("columns") != ["x", "y", "sector"]:
+        raise FormatError(f"{path}: expected \"columns\": [\"x\", \"y\", \"sector\"]")
+    rows = payload.get("points")
     if isinstance(rows, list) and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
         columns = [_json_column(rows, i, types, dtype) for i, (types, dtype) in enumerate(_JSON_COLUMNS)]
         if not any(column is None for column in columns):
@@ -293,7 +286,8 @@ def read_metadata(path) -> dict:
 _AUTOMATIC_INTEGERS = ("n_Lmax", "n_S", "seed", "run", "n_L", "n_in", "n_out")
 
 
-def _automatic_from_meta(x, y, sector, meta) -> Deployment:
+def _automatic_from_meta(meta):
+    """The configuration and layer plan that automatic-run metadata records."""
     missing = {"L", "radii", *_AUTOMATIC_INTEGERS} - meta.keys()
     if missing:
         raise FormatError(f"missing metadata keys {sorted(missing)}")
@@ -310,7 +304,7 @@ def _automatic_from_meta(x, y, sector, meta) -> Deployment:
     plan = layer_plan(layer_set, ints["n_in"], ints["n_out"])
     if plan.total_nodes != config.nodes:
         raise FormatError(f"n_in + (n_L - 1) * n_out is {plan.total_nodes} but n_S is {config.nodes}")
-    return Deployment(x=x, y=y, sector=sector, config=config, plan=plan)
+    return config, plan
 
 
 def deployment_from_files(points_path, meta_path) -> Deployment:
@@ -324,19 +318,20 @@ def deployment_from_files(points_path, meta_path) -> Deployment:
     """
     x, y, sector = read_points(points_path)
     meta = read_metadata(meta_path)
+    config = None
     if "n_L" in meta:
         try:
-            deployment = _automatic_from_meta(x, y, sector, meta)
+            config, plan = _automatic_from_meta(meta)
         except ValueError as exc:  # FormatError, ConfigError and the geometry checks
             raise FormatError(f"{meta_path}: {exc}") from exc
     elif "plan" in meta:
-        deployment = Deployment(x=x, y=y, sector=sector, plan=_plan_from_objects(meta["plan"], meta_path))
+        plan = _plan_from_objects(meta["plan"], meta_path)
     else:
         raise FormatError(f"{meta_path}: metadata carries neither 'n_L' nor 'plan'")
-    sectors = len(deployment.plan.sectors)
-    if sector.size and not (1 <= sector.min() and sector.max() <= sectors):
-        raise FormatError(f"{points_path}: sector tags must lie in 1..{sectors}")
-    return deployment
+    try:
+        return Deployment(x=x, y=y, sector=sector, config=config, plan=plan)
+    except ValueError as exc:  # a tag outside the plan
+        raise FormatError(f"{points_path}: {exc}") from exc
 
 
 # plan "shape" name -> (class, {JSON field: attribute}), fields in file order
@@ -408,4 +403,7 @@ def write_plot_data(rings_path, deployment: Deployment) -> None:
 
 
 def write_report(path, report) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    # streamed, so a report with a line per sector is never held as one string
+    with Path(path).open("w") as handle:
+        json.dump(report.to_dict(), handle, indent=2)
+        handle.write("\n")

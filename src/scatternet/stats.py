@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .core import Deployment, Rect
 
@@ -81,6 +80,7 @@ class GofResult:
 def _chi2_threshold(alpha: float, dof: int) -> float:
     # Quantile of the chi-square distribution through the regularized
     # incomplete gamma inverse; accurate far beyond the 1e-8 we need.
+    from scipy import special  # here, not at the top: deploy and plan never load scipy
     return float(special.chdtri(dof, alpha))
 
 
@@ -99,6 +99,7 @@ def radial_ks(x, y, inner: float, outer: float, alpha: float = DEFAULT_KS_ALPHA)
     All points are assumed to lie in the annulus (membership is checked
     separately).
     """
+    from scipy import special
     if not (0.0 <= inner < outer):
         raise ValueError(f"radial_ks requires 0 <= inner < outer, got ({inner}, {outer})")
     r = np.hypot(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
@@ -169,15 +170,9 @@ def areal_chi2(x, y, shape, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
 
 
 def count_per_sector(deployment: Deployment):
-    """Exact tallies of the plan's k sectors as a list of (index, count),
-    1-based; every tag must lie in 1..k."""
-    tags = np.asarray(deployment.sector)
-    if tags.size != deployment.x.size or tags.size == 0:
-        raise ValueError("deployment has untagged points: sector labels do not match the point set")
+    """Exact tallies of the plan's k sectors as a list of (index, count), 1-based."""
     k = len(sector_table(deployment))
-    if tags.min() < 1 or tags.max() > k:
-        raise ValueError(f"sector tags must lie in 1..{k}")
-    return list(enumerate(np.bincount(tags, minlength=k + 1)[1:].tolist(), start=1))
+    return list(enumerate(np.bincount(deployment.sector, minlength=k + 1)[1:].tolist(), start=1))
 
 
 def sector_table(deployment: Deployment):
@@ -197,7 +192,7 @@ def _members(deployment: Deployment, table):
     One stable argsort of the tags groups every sector at once, in place of
     one mask over all points per sector.
     """
-    tags = np.asarray(deployment.sector)
+    tags = deployment.sector
     order = np.argsort(tags, kind="stable")
     indices = [index for index, _, _ in table]
     lo = np.searchsorted(tags[order], indices, side="left")
@@ -213,15 +208,11 @@ def check_membership(deployment: Deployment) -> np.ndarray:
     displaced points remain detectable.  A zero-width layer's points must
     sit at its radius, up to rounding.
     """
-    table = sector_table(deployment)
-    violations = []
-    for (_, shape, _), members in zip(table, _members(deployment, table)):
-        if not members.size:
-            continue
-        ok = shape.contains(deployment.x[members], deployment.y[members])
-        violations.append(members[~np.asarray(ok)])
-    if not violations:
-        return np.empty(0, dtype=np.int64)
+    table = sector_table(deployment)  # a plan holds at least one sector
+    violations = [
+        members[~np.asarray(shape.contains(deployment.x[members], deployment.y[members]))]
+        for (_, shape, _), members in zip(table, _members(deployment, table))
+    ]
     return np.sort(np.concatenate(violations))
 
 
@@ -284,7 +275,6 @@ def evaluate_deployment(
     recorded as skipped rather than failed; the network-wide angular test
     only applies when every sector is origin-centered.
     """
-    counts = count_per_sector(deployment)
     table = sector_table(deployment)
 
     per_sector = []
@@ -293,7 +283,8 @@ def evaluate_deployment(
     skipped = []
     all_circular = True
     min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
-    for (index, shape, _), (_, count), members in zip(table, counts, _members(deployment, table)):
+    for (index, shape, _), members in zip(table, _members(deployment, table)):
+        count = members.size
         area = shape.area()
         density = count / area if area > 0 else math.inf
         per_sector.append(SectorStat(index=index, count=count, area=area, density=density))

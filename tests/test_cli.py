@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,11 +358,38 @@ class TestValidateCommand:
         assert "alpha" in capsys.readouterr().err
         assert not (out / "run_000.report.json").exists()
 
+    @pytest.mark.parametrize("fmt,empty", [
+        ("csv", "x,y,sector\n"),
+        ("json", '{"columns": ["x", "y", "sector"], "points": []}\n'),
+    ])
+    def test_empty_points_file_is_a_count_failure(self, tmp_path, capsys, fmt, empty):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out, "--format", fmt)
+        path = out / f"run_000.{fmt}"
+        path.write_text(empty)
+        meta = json.loads((out / "run_000.meta.json").read_text())
+        assert run_cli("validate", path) == 4
+        err = capsys.readouterr().err
+        quotas = [meta["n_in"]] + [meta["n_out"]] * (meta["n_L"] - 1)
+        for index, quota in enumerate(quotas, start=1):
+            assert f"{path}: sector {index} has 0 points, expected {quota}" in err
+        assert "Traceback" not in err
+        report = json.loads((out / "run_000.report.json").read_text())
+        assert [s["count"] for s in report["per_sector"]] == [0] * meta["n_L"]
+
     def test_json_points_validate(self, tmp_path):
         out = tmp_path / "out"
         run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 2000,
                 "--seed", 2, "--out-dir", out, "--format", "json")
         assert run_cli("validate", out / "run_000.json") == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # deploy and plan never run a statistical test, so they do not pay for scipy
+    src = Path(cli.__file__).parent.parent
+    code = "import sys, scatternet.cli; sys.exit('scipy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
 class TestParser:

@@ -145,7 +145,34 @@ class TestLayerSet:
         assert layer.area() == 0.0
 
 
+TWO_SECTORS = DeploymentPlan(sectors=(Sector(Disk(1.0), 1), Sector(Annulus(1.0, 2.0), 1)))
+
+
 class TestDeployment:
+    @pytest.mark.parametrize("x,y,sector,plan,match", [
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2), dtype=np.int64), None, "1-D"),
+        (np.zeros(3), np.zeros(3), np.ones(2, dtype=np.int64), None, "got 3 points and 2 tags"),
+        (np.zeros(3), np.zeros(3), np.ones(4, dtype=np.int64), TWO_SECTORS, "got 3 points and 4 tags"),
+        (np.zeros(3), np.zeros(3), np.ones(3), None, "integers"),
+        (np.array([0.0, np.nan]), np.zeros(2), np.ones(2, dtype=np.int64), None, "finite"),
+        (np.zeros(2), np.array([np.inf, 0.0]), np.ones(2, dtype=np.int64), None, "finite"),
+        (np.zeros(2), np.zeros(2), np.array([1, 0]), TWO_SECTORS, r"1\.\.2"),
+        (np.zeros(2), np.zeros(2), np.array([3, 1]), TWO_SECTORS, r"1\.\.2"),
+        (np.zeros(2), np.zeros(2), np.array([1, 2**62]), TWO_SECTORS, r"1\.\.2"),
+    ], ids=["2-d", "too-few-tags", "too-many-tags", "float-tags", "nan", "inf", "tag-0", "tag-k+1", "tag-2**62"])
+    def test_malformed_point_set_rejected(self, x, y, sector, plan, match):
+        with pytest.raises(ValueError, match=match):
+            Deployment(x=x, y=y, sector=sector, plan=plan)
+
+    def test_empty_point_set_with_a_plan_is_valid(self):
+        empty = np.empty(0)
+        d = Deployment(x=empty, y=empty, sector=np.empty(0, dtype=np.int64), plan=TWO_SECTORS)
+        assert len(d) == 0
+
+    def test_tags_are_free_without_a_plan(self):
+        d = Deployment(x=np.zeros(3), y=np.zeros(3), sector=np.array([-1, 0, 2**62]))
+        assert len(d) == 3
+
     def test_mismatched_coordinates_rejected(self):
         with pytest.raises(ValueError):
             Deployment(x=np.zeros(3), y=np.zeros(2), sector=np.ones(3, dtype=int))

@@ -112,6 +112,13 @@ class TestPointsRoundTrip:
         with pytest.raises(FormatError, match="p.json: "):
             read_points(path)
 
+    @pytest.mark.parametrize("head", ['"columns": ["y", "x", "sector"], ', ""], ids=["swapped", "missing"])
+    def test_json_needs_the_exact_columns(self, tmp_path, head):
+        path = tmp_path / "p.json"
+        path.write_text('{' + head + '"points": [[0.5, 0.25, 1]]}\n')
+        with pytest.raises(FormatError, match=r'p.json: expected "columns": \["x", "y", "sector"\]'):
+            read_points(path)
+
     def test_json_integer_coordinates_accepted(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"columns": ["x", "y", "sector"], "points": [[0, -1, 2], [0.5, 3, 1]]}')
@@ -119,9 +126,8 @@ class TestPointsRoundTrip:
         assert x.tolist() == [0.0, 0.5] and y.tolist() == [-1.0, 3.0] and sector.tolist() == [2, 1]
 
     def test_json_needs_finite_coordinates(self, tmp_path):
-        d = tiny_deployment([0.5, float("nan")], [0.0, 0.0], [1, 1])
         with pytest.raises(ValueError, match="finite"):
-            write_points(tmp_path / "p.json", d, fmt="json")
+            write_points(tmp_path / "p.json", tiny_deployment([0.5, float("nan")], [0.0, 0.0], [1, 1]), fmt="json")
 
     @pytest.mark.parametrize("row", BAD_CSV_POINTS)
     def test_bad_csv_point_rejected_with_its_line(self, tmp_path, row):
@@ -139,9 +145,8 @@ class TestPointsRoundTrip:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_csv_needs_finite_coordinates(self, tmp_path, value):
-        d = tiny_deployment([0.5, 0.0], [0.0, value], [1, 1])
         with pytest.raises(ValueError, match="finite"):
-            write_points(tmp_path / "p.csv", d)
+            write_points(tmp_path / "p.csv", tiny_deployment([0.5, 0.0], [0.0, value], [1, 1]))
         assert not (tmp_path / "p.csv").exists()
 
     def test_unknown_format(self, tmp_path):
@@ -201,17 +206,15 @@ class TestWritersRefuse:
     @pytest.mark.parametrize("tags", [[1], [1, 2, 3, 4], []])
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_one_sector_tag_per_point(self, tmp_path, writer, tags):
-        d = tiny_deployment([0.5, 0.25, 0.0], [0.1, 0.2, 0.3], tags)
         with pytest.raises(ValueError, match="one sector tag each"):
-            WRITERS[writer](d, tmp_path)
+            WRITERS[writer](tiny_deployment([0.5, 0.25, 0.0], [0.1, 0.2, 0.3], tags), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_finite_coordinates(self, tmp_path, writer, value):
-        d = tiny_deployment([0.5, value], [0.1, 0.2], [1, 1])
         with pytest.raises(ValueError, match="finite"):
-            WRITERS[writer](d, tmp_path)
+            WRITERS[writer](tiny_deployment([0.5, value], [0.1, 0.2], [1, 1]), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -369,7 +372,7 @@ csv_files = (st.builds(
 point_values = numberish | st.integers() | st.sampled_from([2**63, -(2**63) - 1, float("nan"), float("inf")])
 points_payloads = st.fixed_dictionaries(
     {"points": st.lists(st.lists(point_values, max_size=4) | json_values, max_size=5)},
-    optional={"columns": json_values},
+    optional={"columns": st.just(["x", "y", "sector"]) | json_values},
 ) | json_values
 
 
@@ -590,3 +593,10 @@ class TestReport:
         for entry in payload["per_sector"]:
             if math.isfinite(entry["density"]):
                 assert entry["density"] == pytest.approx(entry["count"] / entry["area"], rel=1e-12)
+
+    def test_streamed_report_is_the_one_shot_text(self, tmp_path):
+        plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 400), Sector(Annulus(1.0, 2.0), 20)))
+        report = evaluate_deployment(deploy_planned(plan, RandomStream(4, 0)))
+        path = tmp_path / "run.report.json"
+        write_report(path, report)
+        assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"

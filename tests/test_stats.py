@@ -43,28 +43,26 @@ class TestCountPerSector:
         assert count_per_sector(d) == [(1, 12), (2, 34)]
 
     def test_untagged_points_rejected(self):
-        d = Deployment(x=np.zeros(4), y=np.zeros(4), sector=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError, match="untagged"):
-            count_per_sector(d)
+        with pytest.raises(ValueError, match="one sector tag each"):
+            count_per_sector(Deployment(x=np.zeros(4), y=np.zeros(4), sector=np.array([], dtype=np.int64)))
         empty = Deployment(x=np.array([]), y=np.array([]), sector=np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
             count_per_sector(empty)
 
     def test_nonpositive_tags_rejected(self):
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 1), Sector(Annulus(1.0, 2.0), 1)))
-        d = Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([0, 1]), plan=plan)
         with pytest.raises(ValueError, match=r"1\.\.2"):
-            count_per_sector(d)
+            count_per_sector(Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([0, 1]), plan=plan))
 
     @pytest.mark.parametrize("tag", [2, 2**62])
     def test_tags_above_sector_count_rejected(self, tag):
         # the count array is sized by the plan, never by the largest tag
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 2),))
-        d = Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([1, tag], dtype=np.int64), plan=plan)
+        tags = np.array([1, tag], dtype=np.int64)
         with pytest.raises(ValueError, match=r"1\.\.1"):
-            count_per_sector(d)
+            count_per_sector(Deployment(x=np.zeros(2), y=np.zeros(2), sector=tags, plan=plan))
         with pytest.raises(ValueError, match=r"1\.\.1"):
-            evaluate_deployment(d)
+            evaluate_deployment(Deployment(x=np.zeros(2), y=np.zeros(2), sector=tags, plan=plan))
 
 
 class TestRadialKs:
