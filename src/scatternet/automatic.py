@@ -21,7 +21,6 @@ from .sampling import fill_in_order
 
 __all__ = [
     "layer_plan",
-    "sample_layer_count",
     "split_nodes",
     "sample_layer_radii",
     "deploy_automatic",
@@ -49,14 +48,6 @@ def layer_plan(layer_set: LayerSet, inner_count: int, outer_count: int) -> Deplo
             shape = Annulus(inner, outer) if inner > 0 else Disk(outer)
         sectors.append(Sector(shape, outer_count if sectors else inner_count))
     return DeploymentPlan(sectors=tuple(sectors))
-
-
-def sample_layer_count(max_layers: int, stream) -> int:
-    """Draw the layer count, uniform on {2, ..., max_layers}.
-
-    At least two layers are required for any density contrast to exist.
-    """
-    return discrete_uniform_via_threshold(stream, max_layers)
 
 
 def split_nodes(total: int, layers: int):
@@ -91,29 +82,21 @@ def sample_layer_radii(radius: float, layers: int, stream) -> LayerSet:
     return LayerSet(radius=radius, boundaries=tuple(float(r) for r in draws))
 
 
-def plan_run(config: NetworkConfig, stream, force_layer_count=None) -> DeploymentPlan:
+def plan_run(config: NetworkConfig, stream) -> DeploymentPlan:
     """Resolve layer count, node quotas and layer radii for one run, as
     the run's sector plan.
 
-    ``force_layer_count`` pins the layer count without consuming the
-    layer-count draw; it exists for worst-case cost benchmarking and must lie
-    in {2, ..., max_layers}.
+    The layer count is one draw, uniform on {2, ..., max_layers}: at least
+    two layers are needed for any density contrast to exist.
     """
     validate_config(config)
-    if force_layer_count is None:
-        layers = sample_layer_count(config.max_layers, stream)
-    else:
-        if not 2 <= force_layer_count <= config.max_layers:
-            raise ValueError(
-                f"force_layer_count must lie in [2, {config.max_layers}], got {force_layer_count}"
-            )
-        layers = int(force_layer_count)
+    layers = discrete_uniform_via_threshold(stream, config.max_layers)
     inner_count, outer_count = split_nodes(config.nodes, layers)
     layer_set = sample_layer_radii(config.radius, layers, stream)
     return layer_plan(layer_set, inner_count, outer_count)
 
 
-def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -> Deployment:
+def deploy_automatic(config: NetworkConfig, stream) -> Deployment:
     """Generate one automatic deployment.
 
     Parameters
@@ -123,8 +106,6 @@ def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -
     stream : RandomStream
         Variate source; the caller owns seeding, typically one substream per
         run.
-    force_layer_count : int, optional
-        Test hook: pin the layer count instead of sampling it.
 
     Returns
     -------
@@ -132,7 +113,7 @@ def deploy_automatic(config: NetworkConfig, stream, *, force_layer_count=None) -
         Exactly ``config.nodes`` points tagged with their 1-based layer
         index, plus the layers and their node quotas as a sector plan.
     """
-    plan = plan_run(config, stream, force_layer_count)
+    plan = plan_run(config, stream)
     # Layers cannot overlap, so no overlap scan; all draw from the one stream.
     x, y, tags = fill_in_order(plan.sectors, lambda layer: stream)
     return Deployment(x=x, y=y, sector=tags, config=config, plan=plan)

@@ -169,7 +169,7 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
             _err(f"{points_path}: ... and {outside.size - 10} more membership violations")
         code = EXIT_VALIDATION
 
-    report = evaluate_deployment(deployment, ks_alpha=ks_alpha, chi2_alpha=DEFAULT_CHI2_ALPHA)
+    report = evaluate_deployment(deployment, ks_alpha=ks_alpha)
     write_report(points_path.with_name(f"{points_path.stem}.report.json"), report)
     for test, sector, result in report.failures():
         where = f"sector {sector}" if sector is not None else "all points"

@@ -6,6 +6,7 @@ functions, so they can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -29,6 +30,13 @@ __all__ = [
 ]
 
 MAX_UINT64 = 2**64 - 1
+
+
+def normal_area(area: float) -> bool:
+    """Whether ``area`` is a normal positive finite float, the one rule for a
+    disk or sector area.  A subnormal area has too few significant bits for
+    the area-CDF transform to spread points over it."""
+    return sys.float_info.min <= area < math.inf
 
 
 class ConfigError(ValueError):
@@ -63,15 +71,18 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Return ``config`` unchanged if every invariant holds.
 
     Raises :class:`ConfigError` listing all violated invariants otherwise.
-    The disk area must be a positive finite number, as for a plan sector, so
-    that squaring the radius neither overflows nor underflows to 0.
+    The disk area must be a normal positive finite float, as for a plan
+    sector (:func:`normal_area`), so that squaring the radius neither
+    overflows nor falls to a subnormal value.
     ``nodes >= max_layers`` is required so that even the largest possible
     layer count leaves at least one node for every outer layer.
     """
     violations = []
     area = math.pi * (config.radius * config.radius)  # inf, not OverflowError, past the float range
-    if not (config.radius > 0 and 0 < area < math.inf):
-        violations.append(f"radius must be positive with a positive finite disk area pi*L^2, got {config.radius}")
+    if not (config.radius > 0 and normal_area(area)):
+        violations.append(
+            f"radius must be positive with a normal positive finite disk area pi*L^2, got {config.radius}"
+        )
     if config.max_layers < 2:
         violations.append(f"max_layers must be at least 2, got {config.max_layers}")
     if config.nodes < config.max_layers:
@@ -207,7 +218,7 @@ class Circle:
         return 0.0
 
     def contains(self, x, y):
-        return np.isclose(np.hypot(x, y), self.radius)
+        return np.isclose(np.hypot(x, y), self.radius, atol=0.0)  # relative only, at any scale
 
 
 Shape = Union[Annulus, Disk, Rect, Circle]

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .automatic import layer_plan
-from .core import Annulus, Deployment, Disk, LayerSet, NetworkConfig, Rect, Sector, validate_config
+from .automatic import layer_plan, split_nodes
+from .core import Annulus, Deployment, Disk, LayerSet, NetworkConfig, Rect, Sector, normal_area, validate_config
 from .planned import DeploymentPlan
 
 __all__ = [
@@ -300,19 +300,26 @@ def _automatic_from_meta(meta):
     config = validate_config(
         NetworkConfig(radius=radius, max_layers=ints["n_Lmax"], nodes=ints["n_S"], seed=ints["seed"])
     )
+    layers = ints["n_L"]
+    if not 2 <= layers <= config.max_layers:
+        raise FormatError(f"n_L is {layers} but must lie in 2..n_Lmax = {config.max_layers}")
+    split = split_nodes(config.nodes, layers)
+    if (ints["n_in"], ints["n_out"]) != split:
+        raise FormatError(
+            f"(n_in, n_out) is ({ints['n_in']}, {ints['n_out']}) but n_S = {config.nodes} "
+            f"split over n_L = {layers} layers is {split}"
+        )
     layer_set = LayerSet(radius=radius, boundaries=tuple(_number(r, "radii entry") for r in meta["radii"]))
-    plan = layer_plan(layer_set, ints["n_in"], ints["n_out"])
-    if plan.total_nodes != config.nodes:
-        raise FormatError(f"n_in + (n_L - 1) * n_out is {plan.total_nodes} but n_S is {config.nodes}")
-    return config, plan
+    return config, layer_plan(layer_set, *split)
 
 
 def deployment_from_files(points_path, meta_path) -> Deployment:
     """Rebuild a Deployment (including its geometry) from a run's two files.
 
     Metadata must carry JSON integers where integers are written and agree
-    with itself: ``n_L == len(radii) + 1``, ``n_in >= n_out >= 1`` and
-    ``n_in + (n_L - 1) * n_out == n_S`` for automatic runs.  Every sector
+    with itself for automatic runs: ``n_L == len(radii) + 1``,
+    ``2 <= n_L <= n_Lmax`` and ``(n_in, n_out) == split_nodes(n_S, n_L)``,
+    the split the run drew its quotas from.  Every sector
     tag must name a sector of the plan, 1..k.  Any violation raises
     :class:`FormatError`, whose message starts with the faulty file's path.
     """
@@ -349,8 +356,8 @@ def _sector_to_obj(sector: Sector) -> dict:
 
 
 def _obj_to_sector(obj, index: int) -> Sector:
-    """A sector from its plan object: finite coordinates, a positive finite
-    area and a non-boolean integer ``n``."""
+    """A sector from its plan object: finite coordinates, a normal positive
+    finite area and a non-boolean integer ``n``."""
     where = f"sector {index}"
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: must be a JSON object")
@@ -368,8 +375,8 @@ def _obj_to_sector(obj, index: int) -> Sector:
         area = math.inf
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    if not 0 < area < math.inf:
-        raise FormatError(f"{where}: area {area} is not a positive finite number")
+    if not normal_area(area):
+        raise FormatError(f"{where}: area {area} is not a normal positive finite number")
     return sector
 
 

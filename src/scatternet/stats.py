@@ -115,27 +115,24 @@ def radial_ks(x, y, inner: float, outer: float, alpha: float = DEFAULT_KS_ALPHA)
     return GofResult(statistic=stat, threshold=threshold, passed=stat < threshold)
 
 
-def angular_chi2(x, y, bins: int = 36, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
-    """Pearson chi-square of point angles against uniformity on [0, 2pi)."""
-    if bins < 2:
-        raise ValueError(f"angular chi-square needs at least 2 bins, got {bins}")
+def angular_chi2(x, y, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
+    """Pearson chi-square of point angles against uniformity on [0, 2pi),
+    over ``ANGULAR_BINS`` equal bins."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
-    _require_points(n, MIN_EXPECTED_PER_BIN * bins, f"angular chi-square with {bins} bins")
+    _require_points(n, MIN_EXPECTED_PER_BIN * ANGULAR_BINS, f"angular chi-square with {ANGULAR_BINS} bins")
     angles = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-    observed, _ = np.histogram(angles, bins=bins, range=(0.0, 2.0 * math.pi))
-    expected = np.full(bins, n / bins)
+    observed, _ = np.histogram(angles, bins=ANGULAR_BINS, range=(0.0, 2.0 * math.pi))
+    expected = np.full(ANGULAR_BINS, n / ANGULAR_BINS)
     return _pearson_chi2(observed.astype(np.float64), expected, alpha)
 
 
-def equal_area_boundaries(inner: float, outer: float, shells: int) -> np.ndarray:
-    """Radii splitting an annulus into ``shells`` annuli of identical area."""
+def equal_area_boundaries(inner: float, outer: float) -> np.ndarray:
+    """Radii splitting an annulus into ``AREAL_SHELLS`` annuli of identical area."""
     if not (0.0 <= inner < outer):
         raise ValueError(f"equal_area_boundaries requires 0 <= inner < outer, got ({inner}, {outer})")
-    if shells < 1:
-        raise ValueError(f"shell count must be positive, got {shells}")
-    fractions = np.arange(shells + 1, dtype=np.float64) / shells
+    fractions = np.arange(AREAL_SHELLS + 1, dtype=np.float64) / AREAL_SHELLS
     return np.sqrt(inner * inner + fractions * (outer * outer - inner * inner))
 
 
@@ -162,7 +159,7 @@ def areal_chi2(x, y, shape, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
         band = _bin(y - shape.y0, shape.y1 - shape.y0, AREAL_SHELLS)
         slot = _bin(x - shape.x0, shape.x1 - shape.x0, AREAL_WEDGES)
     else:
-        edges = equal_area_boundaries(shape.inner, shape.outer, AREAL_SHELLS)
+        edges = equal_area_boundaries(shape.inner, shape.outer)
         band = np.clip(np.searchsorted(edges[1:-1], np.hypot(x, y), side="right"), 0, AREAL_SHELLS - 1)
         slot = _bin(np.mod(np.arctan2(y, x), 2.0 * math.pi), 2.0 * math.pi, AREAL_WEDGES)
     observed = np.bincount(band * AREAL_WEDGES + slot, minlength=cells).astype(np.float64)
@@ -236,7 +233,6 @@ class StatReport:
     areal: tuple  # (sector index, GofResult) pairs
     angular: Optional[GofResult]
     ks_alpha: float
-    chi2_alpha: float
     skipped: tuple = field(default_factory=tuple)  # (sector index, test name, reason)
 
     def all_passed(self) -> bool:
@@ -252,7 +248,7 @@ class StatReport:
     def to_dict(self) -> dict:
         return {
             "ks_alpha": self.ks_alpha,
-            "chi2_alpha": self.chi2_alpha,
+            "chi2_alpha": DEFAULT_CHI2_ALPHA,
             "per_sector": [s.to_dict() for s in self.per_sector],
             "radial_ks": [{"sector": idx, **res.to_dict()} for idx, res in self.radial],
             "areal_chi2": [{"sector": idx, **res.to_dict()} for idx, res in self.areal],
@@ -264,12 +260,11 @@ class StatReport:
         }
 
 
-def evaluate_deployment(
-    deployment: Deployment,
-    ks_alpha: float = DEFAULT_KS_ALPHA,
-    chi2_alpha: float = DEFAULT_CHI2_ALPHA,
-) -> StatReport:
+def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALPHA) -> StatReport:
     """Run every applicable distribution test and assemble a report.
+
+    Radial KS tests run at ``ks_alpha``, every chi-square test at
+    ``DEFAULT_CHI2_ALPHA``.
 
     Tests whose sample-size preconditions are not met by a sector are
     recorded as skipped rather than failed; the network-wide angular test
@@ -302,7 +297,7 @@ def evaluate_deployment(
         if count < min_areal:
             skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
         else:
-            areal.append((index, areal_chi2(sx, sy, shape, alpha=chi2_alpha)))
+            areal.append((index, areal_chi2(sx, sy, shape)))
         if isinstance(shape, Rect):
             all_circular = False
             skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))
@@ -310,7 +305,7 @@ def evaluate_deployment(
     angular = None
     if all_circular:
         if len(deployment) >= MIN_EXPECTED_PER_BIN * ANGULAR_BINS:
-            angular = angular_chi2(deployment.x, deployment.y, bins=ANGULAR_BINS, alpha=chi2_alpha)
+            angular = angular_chi2(deployment.x, deployment.y)
         else:
             skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
     else:
@@ -322,6 +317,5 @@ def evaluate_deployment(
         areal=tuple(areal),
         angular=angular,
         ks_alpha=ks_alpha,
-        chi2_alpha=chi2_alpha,
         skipped=tuple(skipped),
     )

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 
-from scatternet.automatic import deploy_automatic
+from scatternet.automatic import deploy_automatic, split_nodes
 from scatternet.core import NetworkConfig, Rect, validate_config
 from scatternet.planned import OverlapCheck
 from scatternet.rng import RandomStream
@@ -41,6 +41,16 @@ class SequenceStream:
         return self._next
 
 
+class TopLayerCount(RandomStream):
+    """A :class:`RandomStream` whose scalar draw is the largest double below
+    1.  An automatic run's one scalar draw is its layer count, which is then
+    ``max_layers``; the radii and points still come from Philox, as in any
+    run of that count."""
+
+    def uniform01(self):
+        return 1.0 - 2.0**-53
+
+
 def sample_annulus(inner, outer, n, stream):
     """``n`` points drawn by the annulus fill into fresh arrays."""
     x = np.empty(n, dtype=np.float64)
@@ -62,9 +72,9 @@ def _forced_run_time(config, seed: int, attempt: int) -> float:
     its maximum).  Thread CPU time leaves out time spent descheduled on a
     loaded host, and CPU that idle pool threads of earlier numerical calls
     burn; the run itself is single-threaded numpy."""
-    stream = RandomStream(seed, attempt)
+    stream = TopLayerCount(seed, attempt)
     start = time.thread_time()
-    deploy_automatic(config, stream, force_layer_count=config.max_layers)
+    deploy_automatic(config, stream)
     return time.thread_time() - start
 
 
@@ -105,6 +115,7 @@ BAD_SECTORS = [
     '{"shape": "annulus", "r_inner": "0", "r_outer": 1.0, "n": 5}',
     '{"shape": "rect", "x0": 0, "y0": 0, "x1": 1e200, "y1": 1e200, "n": 5}',
     '{"shape": ["disk"], "r": 1.0, "n": 5}',
+    '{"shape": "disk", "r": 1e-160, "n": 5}',
 ]
 
 # (key, value) replacements that make automatic run metadata invalid.
@@ -118,15 +129,33 @@ BAD_AUTOMATIC_METADATA = [
     ("L", float("inf")),
     ("L", 1e200),
     ("L", 1e-200),
+    ("L", 1e-160),
+    ("n_L", "n_Lmax + 1"),
+    ("n_in", "inner + layers - 1"),
 ]
 
 
 def corrupt_metadata(meta, key, value):
-    """``meta`` with ``key`` set to ``value``; the strings ``layers + 1`` and
-    ``inner + 1`` stand for the run's own n_L or n_in plus one."""
-    bad = dict(meta)
-    bad[key] = {"layers + 1": meta["n_L"] + 1, "inner + 1": meta["n_in"] + 1}.get(value, value)
-    return bad
+    """``meta`` with ``key`` set to ``value``.  The strings ``layers + 1`` and
+    ``inner + 1`` stand for the run's own n_L or n_in plus one;
+    ``inner + layers - 1`` also lowers n_out by one, which moves a node of
+    every outer layer inward and keeps the total n_S; ``n_Lmax + 1`` is a run
+    of one layer more than n_Lmax, with radii and quotas to match.  A new
+    ``L`` scales the radii with it, so that only the rule on ``L`` can
+    reject it."""
+    too_many = meta["n_Lmax"] + 1
+    extra = [meta["L"] / 2] * (too_many - 1 - len(meta["radii"]))
+    inner, outer = split_nodes(meta["n_S"], too_many)
+    relative = {
+        "layers + 1": {key: meta["n_L"] + 1},
+        "inner + 1": {key: meta["n_in"] + 1},
+        "n_Lmax + 1": {"n_L": too_many, "radii": sorted(meta["radii"] + extra), "n_in": inner, "n_out": outer},
+        "inner + layers - 1": {key: meta["n_in"] + meta["n_L"] - 1, "n_out": meta["n_out"] - 1},
+    }
+    changes = relative.get(value, {key: value})
+    if key == "L":
+        changes["radii"] = [r * (value / meta["L"]) for r in meta["radii"]]
+    return {**meta, **changes}
 
 
 # Points rows (as JSON text) that a strict points reader must reject.

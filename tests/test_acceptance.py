@@ -85,7 +85,7 @@ def test_criterion_3_annulus_sampling_law(bounds):
     for seed in range(100):
         x, y = sample_annulus(inner, outer, n, RandomStream(seed, 50))
         ok_r = radial_ks(x, y, inner, outer, alpha=0.01).passed
-        ok_t = angular_chi2(x, y, bins=36, alpha=0.001).passed
+        ok_t = angular_chi2(x, y, alpha=0.001).passed
         passes += ok_r and ok_t
     assert passes >= 97, f"bounds={bounds}: only {passes}/100 trials passed"
     report(f"3: PASS annulus law on {bounds}: {passes}/100 seeded trials")

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SequenceStream, sample_annulus
+from helpers import SequenceStream, TopLayerCount, sample_annulus
 from scatternet.automatic import (
     deploy_automatic,
     layer_plan,
     plan_run,
-    sample_layer_count,
     sample_layer_radii,
     split_nodes,
 )
@@ -41,30 +40,6 @@ class TestSplitNodes:
                 assert outer >= 1
                 assert outer <= inner <= outer + layers - 1
                 assert inner - outer == total % layers
-
-
-class TestSampleLayerCount:
-    def test_degenerate_bound(self):
-        assert sample_layer_count(2, SequenceStream([0.73])) == 2
-
-    def test_upper_boundary_trace(self):
-        # u = 0.999 shifts to v ~ 5.496, accepted only at i = 5
-        assert sample_layer_count(5, SequenceStream([0.999])) == 5
-
-    def test_rejects_bound_below_two(self):
-        with pytest.raises(ValueError):
-            sample_layer_count(1, SequenceStream([0.5]))
-
-    def test_histogram_uniform(self):
-        s = RandomStream(555)
-        draws = 100_000
-        counts = np.zeros(9, dtype=np.int64)
-        for _ in range(draws):
-            counts[sample_layer_count(10, s) - 2] += 1
-        p = 1.0 / 9.0
-        band = 3.0 * math.sqrt(p * (1 - p) / draws)
-        for c in counts:
-            assert abs(c / draws - p) < band + 1e-4
 
 
 class TestSampleLayerRadii:
@@ -163,17 +138,6 @@ class TestLayerPlan:
         assert stub.consumed == 5
         assert [sec.shape.outer for sec in plan.sectors] == [0.2, 0.5, 0.7, 0.9, 1.0]
 
-    def test_forced_layer_count_skips_the_count_draw(self):
-        stub = SequenceStream([0.7, 0.2])
-        cfg = NetworkConfig(radius=1.0, max_layers=5, nodes=100, seed=0)
-        plan = plan_run(cfg, stub, force_layer_count=3)
-        assert len(plan.sectors) == 3
-        assert stub.consumed == 2
-        with pytest.raises(ValueError):
-            plan_run(cfg, SequenceStream([]), force_layer_count=6)
-        with pytest.raises(ValueError):
-            plan_run(cfg, SequenceStream([]), force_layer_count=1)
-
 
 class TestDeployAutomatic:
     @pytest.mark.parametrize(
@@ -234,15 +198,15 @@ class TestDeployAutomatic:
         assert r[2] == pytest.approx(0.25, rel=1e-12)
 
     def test_zero_width_layer_from_duplicate_radii(self):
-        stub = SequenceStream([0.5, 0.5] + [0.5, 0.5] * 9)
+        stub = SequenceStream([0.999, 0.5, 0.5] + [0.5, 0.5] * 9)  # 0.999: 3 layers
         cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=9, seed=0)
-        d = deploy_automatic(cfg, stub, force_layer_count=3)
+        d = deploy_automatic(cfg, stub)
         assert d.layer_set.boundaries == (0.5, 0.5)
         r = np.hypot(d.x, d.y)
         middle = d.sector == 2
         assert np.all(r[middle] == 0.5)
         # the degenerate layer still consumed two draws per node
-        assert stub.consumed == 2 + 2 * 9
+        assert stub.consumed == 3 + 2 * 9
 
     def test_validation_propagates(self):
         with pytest.raises(ConfigError):
@@ -250,5 +214,5 @@ class TestDeployAutomatic:
 
     def test_forced_count_reaches_worst_case(self):
         cfg = NetworkConfig(radius=1.0, max_layers=7, nodes=700, seed=5)
-        d = deploy_automatic(cfg, RandomStream(5, 0), force_layer_count=7)
+        d = deploy_automatic(cfg, TopLayerCount(5, 0))
         assert d.layer_set.layer_count == 7

@@ -64,8 +64,9 @@ class TestDeployCommand:
         assert np.all(counts[1:] == meta["n_out"])
 
     def test_invalid_size_exits_2(self, tmp_path, capsys):
-        # 1e200 and 1.4e154 overflow L^2, and 1e-200 underflows it to 0
-        for size in (0, 1e200, 1.4e154, 1e-200):
+        # 1e200 and 1.4e154 overflow L^2, 1e-200 underflows it to 0, and
+        # pi*L^2 is subnormal at 1e-160 and 8.4e-155
+        for size in (0, 1e200, 1.4e154, 1e-200, 1e-160, 8.4e-155):
             out = tmp_path / "out"
             code = run_cli("deploy", "--size", size, "--max-layers", 5, "--nodes", 100,
                            "--out-dir", out)
@@ -73,7 +74,7 @@ class TestDeployCommand:
             assert "invalid configuration: radius" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("size", [1e153, 1e-150])
+    @pytest.mark.parametrize("size", [1e153, 1e-150, 8.5e-155])
     def test_extreme_finite_area_size_validates(self, tmp_path, size):
         out = tmp_path / "out"
         assert run_cli("deploy", "--size", size, "--max-layers", 5, "--nodes", 100, "--out-dir", out) == 0
@@ -316,11 +317,11 @@ class TestValidateCommand:
         assert "run_000.json: " in capsys.readouterr().err
 
     def test_zero_width_layer_validates_clean(self, tmp_path, capsys):
-        # forced to 3 layers, the two radius draws collide: layer 2 is the circle r = 0.5
+        # 0.999 draws 3 layers, and the two radius draws collide: layer 2 is the circle r = 0.5
         cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=900, seed=0)
         uniforms = np.random.default_rng(8).random(2 * cfg.nodes).tolist()
-        d = deploy_automatic(cfg, SequenceStream([0.5, 0.5] + uniforms), force_layer_count=3)
-        resolved = plan_run(cfg, SequenceStream([0.5, 0.5]), force_layer_count=3)
+        d = deploy_automatic(cfg, SequenceStream([0.999, 0.5, 0.5] + uniforms))
+        resolved = plan_run(cfg, SequenceStream([0.999, 0.5, 0.5]))
         assert d.plan == resolved and d.layer_set.boundaries == (0.5, 0.5)
         assert (d.inner_count, d.outer_count) == (300, 300)
         assert d.plan.sectors[1].shape == Circle(0.5)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import sample_sector
 from scatternet.automatic import layer_plan
 from scatternet.core import (
     Annulus,
+    Circle,
     ConfigError,
     Deployment,
     Disk,
@@ -81,6 +83,13 @@ class TestSectorOps:
         assert Disk(1.0).contains(0.0, 1.0)  # boundary inclusive
         assert Rect(0, 0, 1, 2).contains(0.5, 1.5)
         assert not Rect(0, 0, 1, 2).contains(1.5, 1.5)
+
+    def test_circle_tolerance_is_relative(self):
+        # a zero-width layer's points sit at its radius up to rounding, at any scale
+        for radius in (1e-12, 0.7):
+            x, y = sample_sector(Circle(radius), 100_000, RandomStream(4, 0))
+            assert Circle(radius).contains(x, y).all()
+        assert not Circle(1e-12).contains(1e-9, 0.0)
 
 
 class TestValidateConfig:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import SequenceStream, sample_annulus
+from helpers import SequenceStream, TopLayerCount, sample_annulus
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.planned import DeploymentPlan, deploy_planned
@@ -34,7 +34,7 @@ def radius_uniform_points(inner, outer, n, stream):
 class TestCountPerSector:
     def test_automatic_split_echoed(self):
         cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=100, seed=6)
-        d = deploy_automatic(cfg, RandomStream(6, 0), force_layer_count=3)
+        d = deploy_automatic(cfg, TopLayerCount(6, 0))
         assert count_per_sector(d) == [(1, 34), (2, 33), (3, 33)]
 
     def test_planned_quotas_echoed(self):
@@ -122,40 +122,37 @@ class TestRadialKs:
 class TestAngularChi2:
     def test_correct_sampler_passes(self):
         x, y = sample_annulus(0.0, 1.0, 10_000, RandomStream(13, 0))
-        assert angular_chi2(x, y, bins=36, alpha=0.001).passed
+        assert angular_chi2(x, y, alpha=0.001).passed
 
     def test_concentrated_angles_fail(self):
         x = np.linspace(0.1, 1.0, 500)
         y = np.zeros(500)
-        result = angular_chi2(x, y, bins=36, alpha=0.001)
+        result = angular_chi2(x, y, alpha=0.001)
         assert not result.passed
-
-    def test_single_bin_rejected(self):
-        with pytest.raises(ValueError):
-            angular_chi2(np.ones(100), np.zeros(100), bins=1)
 
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSampleError):
-            angular_chi2(np.ones(100), np.zeros(100), bins=36)
+            angular_chi2(np.ones(100), np.zeros(100))
 
     def test_depends_only_on_angles(self):
         x, y = sample_annulus(0.5, 1.0, 1000, RandomStream(8, 1))
-        direct = angular_chi2(x, y, bins=12)
+        direct = angular_chi2(x, y)
         # halving both coordinates is exact in floating point and keeps
         # every angle bit-identical
-        scaled = angular_chi2(0.5 * x, 0.5 * y, bins=12)
+        scaled = angular_chi2(0.5 * x, 0.5 * y)
         assert direct.statistic == scaled.statistic
 
     def test_dof(self):
         x, y = sample_annulus(0.0, 1.0, 1000, RandomStream(2, 0))
-        assert angular_chi2(x, y, bins=10).dof == 9
+        assert angular_chi2(x, y).dof == 35
 
 
 class TestArealChi2:
     def test_equal_area_boundary_closed_form(self):
-        edges = equal_area_boundaries(0.0, 1.0, 2)
-        assert edges[1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        edges = equal_area_boundaries(0.5, 1.0, 4)
+        edges = equal_area_boundaries(0.0, 1.0)
+        assert edges.size == 9
+        assert edges[4] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        edges = equal_area_boundaries(0.5, 1.0)
         areas = np.diff(edges**2) * math.pi
         np.testing.assert_allclose(areas, areas[0])
 
@@ -194,7 +191,7 @@ class TestHonestTestSizes:
         for seed in range(trials):
             x, y = sample_annulus(0.3, 1.0, n, RandomStream(seed, 3))
             ks_passes += radial_ks(x, y, 0.3, 1.0, alpha=0.01).passed
-            ang_passes += angular_chi2(x, y, bins=36, alpha=0.001).passed
+            ang_passes += angular_chi2(x, y, alpha=0.001).passed
             areal_passes += areal_chi2(x, y, Annulus(0.3, 1.0), alpha=0.001).passed
         assert abs(ks_passes / trials - 0.99) <= 3 * math.sqrt(0.01 * 0.99 / trials)
         assert abs(ang_passes / trials - 0.999) <= 3 * math.sqrt(0.001 * 0.999 / trials)
@@ -211,8 +208,8 @@ class TestDensityProfile:
         cfg = NetworkConfig(radius=1.0, max_layers=2, nodes=100, seed=0)
         from helpers import SequenceStream
 
-        stub = SequenceStream([0.5] + [0.4, 0.1] * 100)
-        d = deploy_automatic(cfg, stub, force_layer_count=2)
+        stub = SequenceStream([0.0, 0.5] + [0.4, 0.1] * 100)  # 0.0: 2 layers, the only count
+        d = deploy_automatic(cfg, stub)
         profile = density_profile(d)
         assert profile[1] == pytest.approx(50 / (0.25 * math.pi), rel=1e-12)
         assert profile[2] == pytest.approx(50 / (0.75 * math.pi), rel=1e-12)
@@ -257,9 +254,9 @@ class TestMembership:
         assert violations.tolist() == [17]
 
     def test_point_off_zero_width_layer_detected(self):
-        stub = SequenceStream([0.5, 0.5] + [0.25, 0.75] * 9)
+        stub = SequenceStream([0.999, 0.5, 0.5] + [0.25, 0.75] * 9)  # 0.999: 3 layers
         cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=9, seed=0)
-        d = deploy_automatic(cfg, stub, force_layer_count=3)
+        d = deploy_automatic(cfg, stub)
         assert check_membership(d).size == 0
         x = d.x.copy()
         x[4] += 0.01  # point 4 is in layer 2, the circle r = 0.5
