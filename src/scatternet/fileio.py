@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import warnings
+from collections import deque
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -77,27 +79,74 @@ _LAYOUTS = {
 _ROW_CHUNK = 1 << 14
 
 
+def _format_rows(chunk) -> str:
+    """The ``x,y,sector`` rows of one chunk of the point arrays, joined by newlines."""
+    x, y, sector = chunk
+    return "\n".join(map(_ROW.format, x.tolist(), y.tolist(), sector.tolist()))
+
+
+def _in_order(pool, chunks, window: int):
+    """``map(_format_rows, chunks)`` on ``pool``, with at most ``window``
+    chunks sent and not yet taken back."""
+    pending = deque()
+    for chunk in chunks:
+        pending.append(pool.apply_async(_format_rows, (chunk,)))
+        if len(pending) == window:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
+def _chunk_texts(stack: ExitStack, chunks: list):
+    """The text of each chunk, in order.
+
+    With one chunk, or one CPU available to the process, this is the
+    builtin ``map``.  Otherwise a pool of one worker per CPU (at most one
+    per chunk), which ``stack`` tears down, formats them, two chunks per
+    worker in flight.  Where the OS does not report the process's CPU set
+    (``os.sched_getaffinity``, Linux), chunks are formatted here.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(chunks))
+    if workers < 2:
+        return map(_format_rows, chunks)
+    import multiprocessing  # deferred, so that one-chunk runs never load it
+
+    pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
+    return _in_order(pool, chunks, 2 * workers)
+
+
 def _stream_points(deployment: Deployment, targets) -> None:
     """Write the point set to every ``(path, layout)`` of ``targets``.
 
-    Rows are formatted ``_ROW_CHUNK`` at a time, once for all targets, so
-    memory beyond the point arrays stays bounded by the chunk.
+    Rows are formatted ``_ROW_CHUNK`` at a time, once for all targets, on
+    every CPU available to the process (see :func:`_chunk_texts`); chunks
+    are written in order, so the bytes depend on neither the chunk size
+    nor the CPU count, and memory beyond the point arrays stays bounded by
+    the chunks in flight.  The pool lives only for this call.
+
+    Workers are forked: they only turn the arrays they are sent into
+    strings, so they call no BLAS and take no lock that the parent holds
+    (the parent's other threads do not exist in them).  They are forked
+    before the output files are opened, so none holds a copy of a file's
+    buffer, and they are joined before this call returns or raises.
     """
     x, y, sector = deployment.x, deployment.y, deployment.sector
+    chunks = [
+        (x[start:start + _ROW_CHUNK], y[start:start + _ROW_CHUNK], sector[start:start + _ROW_CHUNK])
+        for start in range(0, x.size, _ROW_CHUNK)
+    ]
     with ExitStack() as stack:
+        texts = _chunk_texts(stack, chunks)
         files = [(stack.enter_context(Path(path).open("w")), _LAYOUTS[layout]) for path, layout in targets]
         for handle, (head, *_) in files:
             handle.write(head)
-        for start in range(0, x.size, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, x.size)
-            rows = "\n".join(map(
-                _ROW.format, x[start:stop].tolist(), y[start:stop].tolist(), sector[start:stop].tolist()
-            ))
+        for index, rows in enumerate(texts):
             for handle, (_, chunk, sep, _, replacements) in files:
                 text = rows
                 for old, new in replacements:
                     text = text.replace(old, new)
-                if start:
+                if index:
                     handle.write(sep)
                 handle.write(chunk.format(text))
         for handle, (*_, tail, _) in files:

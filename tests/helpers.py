@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing.pool
+import os
 import time
 
 import numpy as np
@@ -230,6 +232,21 @@ def xy_text(d):
 
 
 ORACLES = {"csv": csv_text, "json": json_text, "xy": xy_text}
+
+
+def pretend_cpus(monkeypatch, cpus: int) -> list:
+    """Make the points writer see ``cpus`` CPUs.  Returns the list to which
+    the worker count of every pool it creates from then on is appended."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    pools = []
+
+    class RecordedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            pools.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
+    return pools
 
 
 # The scalar pair scan the array overlap scan replaced: the oracle for its

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from helpers import (
     BAD_SECTORS,
     SequenceStream,
     corrupt_metadata,
+    pretend_cpus,
     with_csv_point,
     with_json_point,
 )
@@ -391,6 +393,35 @@ def test_cli_import_leaves_scipy_unloaded():
     src = Path(cli.__file__).parent.parent
     code = "import sys, scatternet.cli; sys.exit('scipy' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
+
+def test_cli_import_and_one_chunk_deploy_leave_multiprocessing_unloaded(tmp_path):
+    # a run of one chunk formats its rows in the parent, so it does not pay for multiprocessing
+    src = Path(cli.__file__).parent.parent
+    code = (
+        "import sys, scatternet.cli\n"
+        "if 'multiprocessing' in sys.modules: sys.exit('loaded by import scatternet.cli')\n"
+        "argv = ['deploy', '--size', '1', '--max-layers', '5', '--nodes', '100', '--out-dir', sys.argv[1]]\n"
+        "if scatternet.cli.main(argv) != 0: sys.exit('deploy failed')\n"
+        "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-chunk deploy')\n"
+    )
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_points_write_exits_3(tmp_path, monkeypatch, capsys):
+    pools = pretend_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run_000.csv").symlink_to("/dev/full")
+    code = run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 50000, "--seed", 1, "--out-dir", out)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("I/O error: ") and "No space left on device" in err
+    assert "Traceback" not in err
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
 
 
 class TestParser:

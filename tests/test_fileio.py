@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,6 +18,7 @@ from helpers import (
     BAD_SECTORS,
     ORACLES,
     corrupt_metadata,
+    pretend_cpus,
     with_csv_point,
     with_json_point,
 )
@@ -188,6 +191,31 @@ class TestStreamedWriter:
         write_points(path, d, fmt=fmt, xy_path=xy_path)
         assert path.read_bytes() == ORACLES[fmt](d).encode()
         assert xy_path.read_bytes() == ORACLES["xy"](d).encode()
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("writer", ["csv", "json", "csv+xy"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, cpus, writer, size):
+        pools = pretend_cpus(monkeypatch, cpus)
+        d = spread_deployment(size, seed=size)
+        WRITERS[writer](d, tmp_path)
+        for path in tmp_path.iterdir():
+            assert path.read_bytes() == ORACLES[path.suffix[1:]](d).encode()
+        chunks = -(-size // CHUNK)
+        # a pool only with more than one chunk and more than one CPU, never outliving the call
+        assert pools == ([min(cpus, chunks)] if cpus > 1 and chunks > 1 else [])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["at open", "mid-stream"])
+    def test_failed_write_leaves_no_worker(self, tmp_path, monkeypatch, where):
+        if where == "mid-stream" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        pools = pretend_cpus(monkeypatch, 2)
+        path = tmp_path / "missing" / "p.csv" if where == "at open" else Path("/dev/full")
+        with pytest.raises(OSError):
+            write_points(path, spread_deployment(3 * CHUNK + 5, seed=0))
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 # Every points layout, by name: each writes into ``directory``; ``.xy`` is
