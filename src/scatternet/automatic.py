@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Annulus, Circle, Deployment, Disk, LayerSet, NetworkConfig, Sector, validate_config
+from .core import Annulus, Circle, Deployment, Disk, NetworkConfig, Sector, validate_config
 from .planned import DeploymentPlan
 from .rng import discrete_uniform_via_threshold
 from .sampling import fill_in_order
@@ -27,19 +27,29 @@ __all__ = [
 ]
 
 
-def layer_plan(layer_set: LayerSet, inner_count: int, outer_count: int) -> DeploymentPlan:
-    """The layers of ``layer_set`` as sectors, innermost first: a disk, then
-    annuli; two equal radii make a zero-width :class:`Circle` of area 0.
+def layer_plan(radius: float, boundaries, inner_count: int, outer_count: int) -> DeploymentPlan:
+    """The layers of a disk of ``radius`` cut at the interior radii
+    ``boundaries`` as sectors, innermost first: a disk, then annuli; two
+    equal radii make a zero-width :class:`Circle` of area 0.
 
-    The innermost layer holds ``inner_count`` nodes and every other layer
-    ``outer_count``, with ``inner_count >= outer_count >= 1``.
+    This is where a run's layer radii are checked, drawn or read from
+    metadata: at least one boundary, each in ``[0, radius)``, in ascending
+    order.  The innermost layer holds ``inner_count`` nodes and every other
+    layer ``outer_count``, with ``inner_count >= outer_count >= 1``.
     """
+    if len(boundaries) < 1:
+        raise ValueError("at least one interior boundary is required (two layers)")
+    for prev, b in zip((0.0, *boundaries), boundaries):
+        if not (0.0 <= b < radius):
+            raise ValueError(f"boundary {b} outside [0, {radius})")
+        if b < prev:
+            raise ValueError("boundaries must be ascending")
     if outer_count < 1 or inner_count < outer_count:
         raise ValueError(
             f"node quotas must satisfy inner_count >= outer_count >= 1, "
             f"got ({inner_count}, {outer_count})"
         )
-    edges = (0.0, *layer_set.boundaries, layer_set.radius)
+    edges = (0.0, *boundaries, radius)
     sectors = []
     for inner, outer in zip(edges, edges[1:]):
         if inner == outer:
@@ -71,15 +81,16 @@ def split_nodes(total: int, layers: int):
     return inner, outer
 
 
-def sample_layer_radii(radius: float, layers: int, stream) -> LayerSet:
-    """Draw ``layers - 1`` radii uniform on [0, radius) and sort them ascending."""
+def sample_layer_radii(radius: float, layers: int, stream) -> tuple:
+    """Draw ``layers - 1`` radii uniform on [0, radius), as an ascending
+    tuple of floats."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if layers < 2:
         raise ValueError(f"layers must be at least 2, got {layers}")
     draws = np.asarray(stream.uniform_block(layers - 1), dtype=np.float64) * radius
     draws.sort()
-    return LayerSet(radius=radius, boundaries=tuple(float(r) for r in draws))
+    return tuple(float(r) for r in draws)
 
 
 def plan_run(config: NetworkConfig, stream) -> DeploymentPlan:
@@ -92,8 +103,8 @@ def plan_run(config: NetworkConfig, stream) -> DeploymentPlan:
     validate_config(config)
     layers = discrete_uniform_via_threshold(stream, config.max_layers)
     inner_count, outer_count = split_nodes(config.nodes, layers)
-    layer_set = sample_layer_radii(config.radius, layers, stream)
-    return layer_plan(layer_set, inner_count, outer_count)
+    boundaries = sample_layer_radii(config.radius, layers, stream)
+    return layer_plan(config.radius, boundaries, inner_count, outer_count)
 
 
 def deploy_automatic(config: NetworkConfig, stream) -> Deployment:

@@ -33,7 +33,6 @@ from .stats import (
     check_membership,
     count_per_sector,
     evaluate_deployment,
-    sector_table,
 )
 
 EXIT_OK = 0
@@ -156,9 +155,9 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
         return EXIT_IO
 
     code = EXIT_OK
-    for (index, _, quota), (_, count) in zip(sector_table(deployment), count_per_sector(deployment)):
-        if count != quota:
-            _err(f"{points_path}: sector {index} has {count} points, expected {quota}")
+    for sec, (index, count) in zip(deployment.plan.sectors, count_per_sector(deployment)):
+        if count != sec.count:
+            _err(f"{points_path}: sector {index} has {count} points, expected {sec.count}")
             code = EXIT_VALIDATION
 
     outside = check_membership(deployment)
@@ -212,21 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
     deploy.add_argument("--size", type=float, required=True, help="network radius")
     deploy.add_argument("--max-layers", type=int, required=True, help="upper bound on the sampled layer count")
     deploy.add_argument("--nodes", type=int, required=True, help="total node count")
-    deploy.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
-    deploy.add_argument("--runs", type=int, default=1, help="number of independent runs")
-    deploy.add_argument("--out-dir", default=".", help="output directory")
-    deploy.add_argument("--format", choices=("csv", "json"), default="csv", help="points file format")
-    deploy.add_argument("--plot-data", action="store_true", help="also write scatter and ring-boundary files")
     deploy.set_defaults(func=cmd_generate, resolve=_automatic)
 
     plan = sub.add_parser("plan", help="generate deployments from a sector plan file")
     plan.add_argument("--plan", required=True, help="path to a JSON plan (array of sector objects)")
-    plan.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
-    plan.add_argument("--runs", type=int, default=1, help="number of independent runs")
-    plan.add_argument("--out-dir", default=".", help="output directory")
-    plan.add_argument("--format", choices=("csv", "json"), default="csv", help="points file format")
-    plan.add_argument("--plot-data", action="store_true", help="also write scatter files")
     plan.set_defaults(func=cmd_generate, resolve=_planned)
+
+    for cmd, plot_help in ((deploy, "also write scatter and ring-boundary files"), (plan, "also write scatter files")):
+        cmd.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
+        cmd.add_argument("--runs", type=int, default=1, help="number of independent runs")
+        cmd.add_argument("--out-dir", default=".", help="output directory")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv", help="points file format")
+        cmd.add_argument("--plot-data", action="store_true", help=plot_help)
 
     validate = sub.add_parser("validate", help="statistically validate generated runs")
     validate.add_argument("files", nargs="+", help="points files (each needs its .meta.json sibling)")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .automatic import layer_plan, split_nodes
-from .core import Annulus, Deployment, Disk, LayerSet, NetworkConfig, Rect, Sector, normal_area, validate_config
+from .core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector, normal_area, validate_config
 from .planned import DeploymentPlan
 
 __all__ = [
@@ -298,17 +298,17 @@ def read_points(path):
 def automatic_metadata(deployment: Deployment, run: int) -> dict:
     """Metadata record for an automatic run; key names are part of the format."""
     cfg = deployment.config
-    ls = deployment.layer_set
+    layers = deployment.plan.sectors
     return {
         "L": float(cfg.radius),
         "n_Lmax": int(cfg.max_layers),
         "n_S": int(cfg.nodes),
         "seed": int(cfg.seed),
         "run": int(run),
-        "n_L": int(ls.layer_count),
-        "radii": [float(r) for r in ls.boundaries],
-        "n_in": int(deployment.inner_count),
-        "n_out": int(deployment.outer_count),
+        "n_L": len(layers),
+        "radii": [float(sec.shape.outer) for sec in layers[:-1]],
+        "n_in": int(layers[0].count),
+        "n_out": int(layers[1].count),
     }
 
 
@@ -358,8 +358,7 @@ def _automatic_from_meta(meta):
             f"(n_in, n_out) is ({ints['n_in']}, {ints['n_out']}) but n_S = {config.nodes} "
             f"split over n_L = {layers} layers is {split}"
         )
-    layer_set = LayerSet(radius=radius, boundaries=tuple(_number(r, "radii entry") for r in meta["radii"]))
-    return config, layer_plan(layer_set, *split)
+    return config, layer_plan(radius, [_number(r, "radii entry") for r in meta["radii"]], *split)
 
 
 def deployment_from_files(points_path, meta_path) -> Deployment:
@@ -452,9 +451,8 @@ def write_plot_data(rings_path, deployment: Deployment) -> None:
     The rings file lists the interior layer radii followed by the outer
     radius; it is only written for automatic deployments.
     """
-    if deployment.layer_set is not None:
-        ls = deployment.layer_set
-        radii = list(ls.boundaries) + [ls.radius]
+    if deployment.config is not None:
+        radii = [sec.shape.outer for sec in deployment.plan.sectors]
         Path(rings_path).write_text("\n".join(repr(float(r)) for r in radii) + "\n")
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "areal_chi2",
     "equal_area_boundaries",
     "count_per_sector",
-    "sector_table",
     "check_membership",
     "evaluate_deployment",
     "DEFAULT_KS_ALPHA",
@@ -168,30 +167,19 @@ def areal_chi2(x, y, shape, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
 
 def count_per_sector(deployment: Deployment):
     """Exact tallies of the plan's k sectors as a list of (index, count), 1-based."""
-    k = len(sector_table(deployment))
+    k = len(deployment.plan.sectors)
     return list(enumerate(np.bincount(deployment.sector, minlength=k + 1)[1:].tolist(), start=1))
 
 
-def sector_table(deployment: Deployment):
-    """(index, shape, quota) of every sector of the deployment's plan, 1-based.
-
-    An automatic run's plan holds its layers; a zero-width layer is a
-    sector of area 0.
-    """
-    if deployment.plan is None:
-        raise ValueError("deployment carries no sector plan; sector geometry unknown")
-    return [(i, sec.shape, sec.count) for i, sec in enumerate(deployment.plan.sectors, start=1)]
-
-
-def _members(deployment: Deployment, table):
-    """Indices of each table sector's points, in point order.
+def _members(deployment: Deployment):
+    """Indices of each plan sector's points, in point order.
 
     One stable argsort of the tags groups every sector at once, in place of
     one mask over all points per sector.
     """
     tags = deployment.sector
     order = np.argsort(tags, kind="stable")
-    indices = [index for index, _, _ in table]
+    indices = np.arange(1, len(deployment.plan.sectors) + 1)
     lo = np.searchsorted(tags[order], indices, side="left")
     hi = np.searchsorted(tags[order], indices, side="right")
     return [order[a:b] for a, b in zip(lo, hi)]
@@ -205,12 +193,11 @@ def check_membership(deployment: Deployment) -> np.ndarray:
     displaced points remain detectable.  A zero-width layer's points must
     sit at its radius, up to rounding.
     """
-    table = sector_table(deployment)  # a plan holds at least one sector
     violations = [
-        members[~np.asarray(shape.contains(deployment.x[members], deployment.y[members]))]
-        for (_, shape, _), members in zip(table, _members(deployment, table))
+        members[~np.asarray(sec.shape.contains(deployment.x[members], deployment.y[members]))]
+        for sec, members in zip(deployment.plan.sectors, _members(deployment))
     ]
-    return np.sort(np.concatenate(violations))
+    return np.sort(np.concatenate(violations))  # a plan holds at least one sector
 
 
 @dataclass(frozen=True)
@@ -270,15 +257,14 @@ def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALP
     recorded as skipped rather than failed; the network-wide angular test
     only applies when every sector is origin-centered.
     """
-    table = sector_table(deployment)
-
     per_sector = []
     radial = []
     areal = []
     skipped = []
     all_circular = True
     min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
-    for (index, shape, _), members in zip(table, _members(deployment, table)):
+    for index, (sec, members) in enumerate(zip(deployment.plan.sectors, _members(deployment)), start=1):
+        shape = sec.shape
         count = members.size
         area = shape.area()
         density = count / area if area > 0 else math.inf

@@ -134,6 +134,8 @@ BAD_AUTOMATIC_METADATA = [
     ("L", 1e-160),
     ("n_L", "n_Lmax + 1"),
     ("n_in", "inner + layers - 1"),
+    ("radii", "last = L"),
+    ("radii", "first negated"),
 ]
 
 
@@ -142,9 +144,11 @@ def corrupt_metadata(meta, key, value):
     ``inner + 1`` stand for the run's own n_L or n_in plus one;
     ``inner + layers - 1`` also lowers n_out by one, which moves a node of
     every outer layer inward and keeps the total n_S; ``n_Lmax + 1`` is a run
-    of one layer more than n_Lmax, with radii and quotas to match.  A new
-    ``L`` scales the radii with it, so that only the rule on ``L`` can
-    reject it."""
+    of one layer more than n_Lmax, with radii and quotas to match;
+    ``last = L`` sets the outermost radius to ``L`` and ``first negated``
+    flips the sign of the innermost one, each breaking one rule of the radii
+    alone.  A new ``L`` scales the radii with it, so that only the rule on
+    ``L`` can reject it."""
     too_many = meta["n_Lmax"] + 1
     extra = [meta["L"] / 2] * (too_many - 1 - len(meta["radii"]))
     inner, outer = split_nodes(meta["n_S"], too_many)
@@ -153,6 +157,8 @@ def corrupt_metadata(meta, key, value):
         "inner + 1": {key: meta["n_in"] + 1},
         "n_Lmax + 1": {"n_L": too_many, "radii": sorted(meta["radii"] + extra), "n_in": inner, "n_out": outer},
         "inner + layers - 1": {key: meta["n_in"] + meta["n_L"] - 1, "n_out": meta["n_out"] - 1},
+        "last = L": {key: meta["radii"][:-1] + [meta["L"]]},
+        "first negated": {key: [-meta["radii"][0]] + meta["radii"][1:]},
     }
     changes = relative.get(value, {key: value})
     if key == "L":

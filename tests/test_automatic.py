@@ -12,7 +12,7 @@ from scatternet.automatic import (
     sample_layer_radii,
     split_nodes,
 )
-from scatternet.core import ConfigError, LayerSet, NetworkConfig
+from scatternet.core import ConfigError, NetworkConfig
 from scatternet.rng import RandomStream
 
 
@@ -44,18 +44,15 @@ class TestSplitNodes:
 
 class TestSampleLayerRadii:
     def test_two_layers_gives_one_radius(self):
-        ls = sample_layer_radii(1.0, 2, RandomStream(0))
-        assert len(ls.boundaries) == 1
-        assert 0.0 <= ls.boundaries[0] < 1.0
+        radii = sample_layer_radii(1.0, 2, RandomStream(0))
+        assert len(radii) == 1
+        assert 0.0 <= radii[0] < 1.0
 
     def test_sorting_contract(self):
-        ls = sample_layer_radii(1.0, 4, SequenceStream([0.7, 0.2, 0.5]))
-        assert ls.boundaries == (0.2, 0.5, 0.7)
+        assert sample_layer_radii(1.0, 4, SequenceStream([0.7, 0.2, 0.5])) == (0.2, 0.5, 0.7)
 
     def test_scaling_by_radius(self):
-        ls = sample_layer_radii(3.0, 3, SequenceStream([0.5, 0.25]))
-        assert ls.boundaries == (0.75, 1.5)
-        assert ls.radius == 3.0
+        assert sample_layer_radii(3.0, 3, SequenceStream([0.5, 0.25])) == (0.75, 1.5)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -69,7 +66,7 @@ class TestSampleLayerRadii:
         s = RandomStream(314)
         sums = np.zeros(4)
         for _ in range(trials):
-            sums += sample_layer_radii(1.0, 5, s).boundaries
+            sums += sample_layer_radii(1.0, 5, s)
         means = sums / trials
         for k in range(1, 5):
             assert abs(means[k - 1] - k / 5) < 0.005
@@ -121,12 +118,11 @@ class TestSamplePointInAnnulus:
 
 class TestLayerPlan:
     def test_quota_invariants_enforced(self):
-        ls = LayerSet(radius=1.0, boundaries=(0.5,))
         with pytest.raises(ValueError):
-            layer_plan(ls, inner_count=1, outer_count=2)
+            layer_plan(1.0, (0.5,), inner_count=1, outer_count=2)
         with pytest.raises(ValueError):
-            layer_plan(ls, inner_count=2, outer_count=0)
-        plan = layer_plan(ls, inner_count=3, outer_count=2)
+            layer_plan(1.0, (0.5,), inner_count=2, outer_count=0)
+        plan = layer_plan(1.0, (0.5,), inner_count=3, outer_count=2)
         assert plan.total_nodes == 5
 
     def test_plan_run_consumes_expected_draws(self):

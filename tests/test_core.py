@@ -12,7 +12,6 @@ from scatternet.core import (
     ConfigError,
     Deployment,
     Disk,
-    LayerSet,
     NetworkConfig,
     Rect,
     Sector,
@@ -128,28 +127,31 @@ class TestValidateConfig:
 
 
 class TestLayerSet:
+    """A run's layer radii: ``layer_plan`` turns them into sectors and is
+    where they are checked."""
+
     def test_bounds_and_widths(self):
         # a run's layers are the sectors of its plan, innermost first
-        ls = LayerSet(radius=1.0, boundaries=(0.2, 0.5, 0.7))
-        assert ls.layer_count == 4
-        shapes = [sec.shape for sec in layer_plan(ls, 4, 1).sectors]
+        plan = layer_plan(1.0, (0.2, 0.5, 0.7), 4, 1)
+        assert len(plan.sectors) == 4
+        shapes = [sec.shape for sec in plan.sectors]
         assert [(s.inner, s.outer) for s in shapes] == [(0.0, 0.2), (0.2, 0.5), (0.5, 0.7), (0.7, 1.0)]
         assert [s.outer - s.inner for s in shapes] == pytest.approx([0.2, 0.3, 0.2, 0.3])
 
     def test_rejects_bad_boundaries(self):
-        with pytest.raises(ValueError):
-            LayerSet(radius=1.0, boundaries=(0.5, 0.2))
-        with pytest.raises(ValueError):
-            LayerSet(radius=1.0, boundaries=(1.0,))
-        with pytest.raises(ValueError):
-            LayerSet(radius=1.0, boundaries=(-0.1,))
-        with pytest.raises(ValueError):
-            LayerSet(radius=1.0, boundaries=())
+        for boundaries, match in [
+            ((0.5, 0.2), "ascending"),
+            ((1.0,), r"outside \[0, 1.0\)"),
+            ((-0.1,), r"outside \[0, 1.0\)"),
+            ((), "at least one interior boundary"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                layer_plan(1.0, boundaries, 1, 1)
 
     def test_duplicate_boundary_tolerated(self):
         # a floating collision between draws produces a zero-width layer
-        ls = LayerSet(radius=1.0, boundaries=(0.5, 0.5))
-        layer = layer_plan(ls, 1, 1).sectors[1].shape
+        layer = layer_plan(1.0, (0.5, 0.5), 1, 1).sectors[1].shape
+        assert isinstance(layer, Circle)
         assert (layer.inner, layer.outer) == (0.5, 0.5)
         assert layer.area() == 0.0
 
@@ -158,34 +160,34 @@ TWO_SECTORS = DeploymentPlan(sectors=(Sector(Disk(1.0), 1), Sector(Annulus(1.0, 
 
 
 class TestDeployment:
-    @pytest.mark.parametrize("x,y,sector,plan,match", [
-        (np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2), dtype=np.int64), None, "1-D"),
-        (np.zeros(3), np.zeros(3), np.ones(2, dtype=np.int64), None, "got 3 points and 2 tags"),
-        (np.zeros(3), np.zeros(3), np.ones(4, dtype=np.int64), TWO_SECTORS, "got 3 points and 4 tags"),
-        (np.zeros(3), np.zeros(3), np.ones(3), None, "integers"),
-        (np.array([0.0, np.nan]), np.zeros(2), np.ones(2, dtype=np.int64), None, "finite"),
-        (np.zeros(2), np.array([np.inf, 0.0]), np.ones(2, dtype=np.int64), None, "finite"),
-        (np.zeros(2), np.zeros(2), np.array([1, 0]), TWO_SECTORS, r"1\.\.2"),
-        (np.zeros(2), np.zeros(2), np.array([3, 1]), TWO_SECTORS, r"1\.\.2"),
-        (np.zeros(2), np.zeros(2), np.array([1, 2**62]), TWO_SECTORS, r"1\.\.2"),
+    @pytest.mark.parametrize("x,y,sector,match", [
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2), dtype=np.int64), "1-D"),
+        (np.zeros(3), np.zeros(3), np.ones(2, dtype=np.int64), "got 3 points and 2 tags"),
+        (np.zeros(3), np.zeros(3), np.ones(4, dtype=np.int64), "got 3 points and 4 tags"),
+        (np.zeros(3), np.zeros(3), np.ones(3), "integers"),
+        (np.array([0.0, np.nan]), np.zeros(2), np.ones(2, dtype=np.int64), "finite"),
+        (np.zeros(2), np.array([np.inf, 0.0]), np.ones(2, dtype=np.int64), "finite"),
+        (np.zeros(2), np.zeros(2), np.array([1, 0]), r"1\.\.2"),
+        (np.zeros(2), np.zeros(2), np.array([3, 1]), r"1\.\.2"),
+        (np.zeros(2), np.zeros(2), np.array([1, 2**62]), r"1\.\.2"),
     ], ids=["2-d", "too-few-tags", "too-many-tags", "float-tags", "nan", "inf", "tag-0", "tag-k+1", "tag-2**62"])
-    def test_malformed_point_set_rejected(self, x, y, sector, plan, match):
+    def test_malformed_point_set_rejected(self, x, y, sector, match):
         with pytest.raises(ValueError, match=match):
-            Deployment(x=x, y=y, sector=sector, plan=plan)
+            Deployment(x=x, y=y, sector=sector, plan=TWO_SECTORS)
 
     def test_empty_point_set_with_a_plan_is_valid(self):
         empty = np.empty(0)
         d = Deployment(x=empty, y=empty, sector=np.empty(0, dtype=np.int64), plan=TWO_SECTORS)
         assert len(d) == 0
 
-    def test_tags_are_free_without_a_plan(self):
-        d = Deployment(x=np.zeros(3), y=np.zeros(3), sector=np.array([-1, 0, 2**62]))
-        assert len(d) == 3
+    def test_plan_is_required(self):
+        with pytest.raises(TypeError):
+            Deployment(x=np.zeros(1), y=np.zeros(1), sector=np.ones(1, dtype=int))
 
     def test_mismatched_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            Deployment(x=np.zeros(3), y=np.zeros(2), sector=np.ones(3, dtype=int))
+            Deployment(x=np.zeros(3), y=np.zeros(2), sector=np.ones(3, dtype=int), plan=TWO_SECTORS)
 
     def test_len(self):
-        d = Deployment(x=np.zeros(5), y=np.zeros(5), sector=np.ones(5, dtype=int))
+        d = Deployment(x=np.zeros(5), y=np.zeros(5), sector=np.ones(5, dtype=int), plan=TWO_SECTORS)
         assert len(d) == 5

@@ -46,11 +46,11 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 def tiny_deployment(xs, ys, tags):
-    return Deployment(
-        x=np.asarray(xs, dtype=np.float64),
-        y=np.asarray(ys, dtype=np.float64),
-        sector=np.asarray(tags, dtype=np.int64),
-    )
+    """Points under a plan of one sector, repeated up to the largest tag so
+    that every tag names a sector; the writers read only the tags."""
+    tags = np.asarray(tags, dtype=np.int64)
+    plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 1),) * int(tags.max(initial=1)))
+    return Deployment(x=np.asarray(xs, dtype=np.float64), y=np.asarray(ys, dtype=np.float64), sector=tags, plan=plan)
 
 
 class TestPointsRoundTrip:

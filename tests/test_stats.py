@@ -22,6 +22,8 @@ from scatternet.stats import (
     radial_ks,
 )
 
+TWO_SECTORS = DeploymentPlan(sectors=(Sector(Disk(1.0), 1), Sector(Annulus(1.0, 2.0), 1)))
+
 
 def radius_uniform_points(inner, outer, n, stream):
     """Deliberately wrong sampler: radius uniform instead of area uniform."""
@@ -29,6 +31,7 @@ def radius_uniform_points(inner, outer, n, stream):
     r = inner + u[0::2] * (outer - inner)
     theta = 2 * math.pi * u[1::2]
     return r * np.cos(theta), r * np.sin(theta)
+
 
 
 class TestCountPerSector:
@@ -44,15 +47,13 @@ class TestCountPerSector:
 
     def test_untagged_points_rejected(self):
         with pytest.raises(ValueError, match="one sector tag each"):
-            count_per_sector(Deployment(x=np.zeros(4), y=np.zeros(4), sector=np.array([], dtype=np.int64)))
-        empty = Deployment(x=np.array([]), y=np.array([]), sector=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            count_per_sector(empty)
+            count_per_sector(
+                Deployment(x=np.zeros(4), y=np.zeros(4), sector=np.array([], dtype=np.int64), plan=TWO_SECTORS)
+            )
 
     def test_nonpositive_tags_rejected(self):
-        plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 1), Sector(Annulus(1.0, 2.0), 1)))
         with pytest.raises(ValueError, match=r"1\.\.2"):
-            count_per_sector(Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([0, 1]), plan=plan))
+            count_per_sector(Deployment(x=np.zeros(2), y=np.zeros(2), sector=np.array([0, 1]), plan=TWO_SECTORS))
 
     @pytest.mark.parametrize("tag", [2, 2**62])
     def test_tags_above_sector_count_rejected(self, tag):
@@ -231,11 +232,6 @@ class TestDensityProfile:
             cv = densities.std() / densities.mean()
             spread += cv > 0.01
         assert spread >= 99
-
-    def test_missing_geometry_rejected(self):
-        d = Deployment(x=np.zeros(3), y=np.zeros(3), sector=np.ones(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            density_profile(d)
 
 
 class TestMembership:

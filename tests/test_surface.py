@@ -7,10 +7,15 @@ import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import scatternet
+from helpers import SequenceStream
+from scatternet.automatic import deploy_automatic
+from scatternet.core import Circle, NetworkConfig
+from scatternet.fileio import automatic_metadata
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 ENTRY_POINTS = ["Annulus", "ConfigError", "Deployment", "DeploymentPlan", "Disk", "NetworkConfig", "OverlapError",
@@ -53,3 +58,19 @@ def test_names_perfbench_traces_resolve():
     spec.loader.exec_module(inprocess)
     for owner, attr, span, _ in inprocess.TRACED:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_metadata_perfbench_expects_is_what_the_writer_writes(monkeypatch):
+    # the benchmark's gate rebuilds an automatic run's metadata from the
+    # Deployment views the package itself no longer reads
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    small_batch = workloads.WORKLOADS["small_batch"]
+    d = workloads.reference_deployment(small_batch, 1, 0, None)
+    assert checks.expected_meta(small_batch, 1, 0, d, None) == automatic_metadata(d, 0)
+    stub = SequenceStream([0.999, 0.5, 0.5] + [0.5, 0.5] * 9)  # 3 layers, the middle one of zero width
+    d = deploy_automatic(NetworkConfig(radius=1.0, max_layers=3, nodes=9, seed=0), stub)
+    assert isinstance(d.plan.sectors[1].shape, Circle)
+    wl = SimpleNamespace(planned=False, max_layers=3, nodes=9)
+    assert checks.expected_meta(wl, 0, 0, d, None) == automatic_metadata(d, 0)
