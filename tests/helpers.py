@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import multiprocessing.pool
@@ -241,8 +242,9 @@ ORACLES = {"csv": csv_text, "json": json_text, "xy": xy_text}
 
 
 def pretend_cpus(monkeypatch, cpus: int) -> list:
-    """Make the points writer see ``cpus`` CPUs.  Returns the list to which
-    the worker count of every pool it creates from then on is appended."""
+    """Make the points writer and reader see ``cpus`` CPUs.  Returns the list
+    to which the worker count of every pool they create from then on is
+    appended."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     pools = []
 
@@ -253,6 +255,22 @@ def pretend_cpus(monkeypatch, cpus: int) -> list:
 
     monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
     return pools
+
+
+def read_range_fails(path, begin, end):
+    """A ``fileio._read_range`` whose read fails, as a device error would."""
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def truncated_after(ranges):
+    """``ranges`` that cuts 6 bytes off the end of the file once it has cut
+    the file into ranges: the last range loses the end of its last tag, and
+    a points JSON file its tail."""
+    def cut_then_truncate(path, layout):
+        cut = ranges(path, layout)
+        os.truncate(path, os.path.getsize(path) - 6)
+        return cut
+    return cut_then_truncate
 
 
 # The scalar pair scan the array overlap scan replaced: the oracle for its

@@ -16,10 +16,12 @@ from helpers import (
     SequenceStream,
     corrupt_metadata,
     pretend_cpus,
+    read_range_fails,
+    truncated_after,
     with_csv_point,
     with_json_point,
 )
-from scatternet import cli
+from scatternet import cli, fileio
 from scatternet.cli import main
 from scatternet.automatic import deploy_automatic, plan_run
 from scatternet.core import Circle, NetworkConfig
@@ -395,8 +397,9 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
-def test_cli_import_and_one_chunk_deploy_leave_multiprocessing_unloaded(tmp_path):
-    # a run of one chunk formats its rows in the parent, so it does not pay for multiprocessing
+def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessing_unloaded(tmp_path):
+    # a run of one chunk formats its rows, and a file of one range is parsed, in the parent,
+    # so neither pays for multiprocessing
     src = Path(cli.__file__).parent.parent
     code = (
         "import sys, scatternet.cli\n"
@@ -404,9 +407,58 @@ def test_cli_import_and_one_chunk_deploy_leave_multiprocessing_unloaded(tmp_path
         "argv = ['deploy', '--size', '1', '--max-layers', '5', '--nodes', '100', '--out-dir', sys.argv[1]]\n"
         "if scatternet.cli.main(argv) != 0: sys.exit('deploy failed')\n"
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-chunk deploy')\n"
+        "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 0: sys.exit('validate failed')\n"
+        "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-range validate')\n"
     )
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                    env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
+
+class TestRangedRead:
+    """``validate`` on files read in byte ranges by forked workers."""
+
+    @pytest.fixture
+    def ranged_run(self, tmp_path, monkeypatch):
+        """A run in each format, of 4000 points, and the pools read on two
+        CPUs in ranges of 4 KiB create."""
+        for fmt in ("csv", "json"):
+            assert run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 4000, "--seed", 1,
+                           "--format", fmt, "--out-dir", tmp_path / fmt) == 0
+        pools = pretend_cpus(monkeypatch, 2)
+        monkeypatch.setattr(fileio, "_RANGE_BYTES", 1 << 12)
+        return tmp_path, pools
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_worker_exits_3(self, ranged_run, monkeypatch, capsys, fmt):
+        out, pools = ranged_run
+        monkeypatch.setattr(fileio, "_read_range", read_range_fails)
+        assert run_cli("validate", out / fmt / f"run_000.{fmt}") == 3
+        err = capsys.readouterr().err
+        assert "Input/output error" in err and "Traceback" not in err
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_file_truncated_after_it_was_cut_exits_3(self, ranged_run, monkeypatch, capsys):
+        out, pools = ranged_run
+        monkeypatch.setattr(fileio, "_ranges", truncated_after(fileio._ranges))
+        path = out / "json" / "run_000.json"
+        assert run_cli("validate", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: not valid JSON") and "Traceback" not in err
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_and_exit_code_do_not_depend_on_cpu_count(self, ranged_run, monkeypatch, fmt):
+        out, pools = ranged_run
+        path = out / fmt / f"run_000.{fmt}"
+        report = path.with_name("run_000.report.json")
+        assert run_cli("validate", path) == 0
+        parallel = report.read_bytes()
+        assert pools == [2]
+        pretend_cpus(monkeypatch, 1)
+        assert run_cli("validate", path) == 0
+        assert report.read_bytes() == parallel
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import json
 import math
 import multiprocessing
 import os
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -19,6 +21,8 @@ from helpers import (
     ORACLES,
     corrupt_metadata,
     pretend_cpus,
+    read_range_fails,
+    truncated_after,
     with_csv_point,
     with_json_point,
 )
@@ -216,6 +220,26 @@ class TestStreamedWriter:
             write_points(path, spread_deployment(3 * CHUNK + 5, seed=0))
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+
+def touch_after(path, delay):
+    """A pool job: wait ``delay`` seconds, then create ``path``."""
+    time.sleep(delay)
+    Path(path).touch()
+
+
+class TestPoolHelper:
+    def test_jobs_in_flight_finish_when_the_caller_fails(self, tmp_path, monkeypatch):
+        pools = pretend_cpus(monkeypatch, 2)
+        jobs = [(tmp_path / f"job{i}", 0.0 if i == 0 else 0.3) for i in range(4)]  # all four sent at once
+        with pytest.raises(KeyError):
+            with contextlib.ExitStack() as stack:
+                for _ in fileio._in_order(stack, touch_after, jobs):
+                    raise KeyError("the caller fails at its first result")
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        # no worker was terminated mid-job, as it might have been mid-send of a result
+        assert all(path.exists() for path, _ in jobs)
 
 
 # Every points layout, by name: each writes into ``directory``; ``.xy`` is
@@ -513,6 +537,34 @@ def near_fast_path_files(draw):
     return text.encode()
 
 
+# Points CSV bodies that ``np.loadtxt`` and the line parser read
+# differently, and whether the line parser accepts them.
+DIVERGENT_CSV_BODIES = [
+    ("1_0,2,3\n", True),
+    ("1,2,1_0\n", True),
+    ("\u0663,2,3\n", True),
+    ("1,2,\uff13\n", True),
+    ("1,2\x0c,3\n", False),
+    ("1,2\x0b,3\n", False),
+    ("1,2\x1c,3\n", False),
+    ("1,2\x85,3\n", False),
+    ("1,2\u2028,3\n", False),
+    ("1,2\xa0,3\n", True),
+    ("1,2 ,3\n", True),
+    ("0.5,0.5,1\n   \n0.25,0.5,2\n", True),
+    ("nan,2,3\n", False),
+    ("1,infinity,3\n", False),
+    ("1e400,2,3\n", False),
+    ("", True),
+    ("0.5,-0.0,7\n", True),
+    (f"0.5,0.5,{2**63}\n", False),
+    (f"0.5,0.5,{2**63 - 1}\n", True),
+    (f"0.5,0.5,{-(2**63)}\n", True),
+    ("1,2,3.0\n", False),
+    ("1,2,1e3\n", False),
+]
+
+
 class TestVectorizedReader:
     """``read_points`` on CSV agrees with the line parser it falls back to."""
 
@@ -524,30 +576,7 @@ class TestVectorizedReader:
             path.write_bytes(content)
             assert_reads_like_line_parser(path)
 
-    @pytest.mark.parametrize("body, accepted", [
-        ("1_0,2,3\n", True),
-        ("1,2,1_0\n", True),
-        ("\u0663,2,3\n", True),
-        ("1,2,\uff13\n", True),
-        ("1,2\x0c,3\n", False),
-        ("1,2\x0b,3\n", False),
-        ("1,2\x1c,3\n", False),
-        ("1,2\x85,3\n", False),
-        ("1,2\u2028,3\n", False),
-        ("1,2\xa0,3\n", True),
-        ("1,2 ,3\n", True),
-        ("0.5,0.5,1\n   \n0.25,0.5,2\n", True),
-        ("nan,2,3\n", False),
-        ("1,infinity,3\n", False),
-        ("1e400,2,3\n", False),
-        ("", True),
-        ("0.5,-0.0,7\n", True),
-        (f"0.5,0.5,{2**63}\n", False),
-        (f"0.5,0.5,{2**63 - 1}\n", True),
-        (f"0.5,0.5,{-(2**63)}\n", True),
-        ("1,2,3.0\n", False),
-        ("1,2,1e3\n", False),
-    ])
+    @pytest.mark.parametrize("body, accepted", DIVERGENT_CSV_BODIES)
     def test_divergent_inputs(self, tmp_path, body, accepted):
         path = tmp_path / "p.csv"
         path.write_bytes(("x,y,sector\n" + body).encode())
@@ -572,14 +601,194 @@ class TestVectorizedReader:
         assert (x.tolist(), y.tolist(), sector.tolist()) == ([0.5], [-0.25], [3])
         assert_reads_like_line_parser(path)
 
-    def test_written_file_skips_the_line_parser(self, tmp_path, monkeypatch):
+    def test_written_file_skips_the_line_parser(self, tmp_path):
+        """Files the writer wrote never reach a strict parser, in either
+        format, read in one range or in one per CPU."""
         d = spread_deployment(3 * CHUNK + 5, seed=7)
-        path = tmp_path / "p.csv"
-        write_points(path, d)
-        monkeypatch.setattr(fileio, "_csv_points_by_line", None)  # a call would raise TypeError
-        x, y, sector = read_points(path)
-        assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes()
-        assert sector.tobytes() == d.sector.tobytes()
+        for fmt, strict in (("csv", "_csv_points_by_line"), ("json", "_json_points")):
+            path = tmp_path / f"p.{fmt}"
+            write_points(path, d, fmt=fmt)
+            for cpus in (1, 2):
+                with pytest.MonkeyPatch.context() as patch:
+                    pools = pretend_cpus(patch, cpus)
+                    patch.setattr(fileio, "_RANGE_BYTES", 1 << 16)
+                    patch.setattr(fileio, strict, None)  # a call would raise TypeError
+                    x, y, sector = read_points(path)
+                assert pools == ([2] if cpus == 2 else []), (fmt, cpus)
+                assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes(), (fmt, cpus)
+                assert sector.tobytes() == d.sector.tobytes(), (fmt, cpus)
+
+
+def strict_outcome(path):
+    """What the strict parser of ``path``'s format makes of it."""
+    return read_outcome(fileio._json_points if path.suffix == ".json" else fileio._csv_points_by_line, path)
+
+
+@contextlib.contextmanager
+def tiny_ranges(cpus: int):
+    """Reads on ``cpus`` pretended CPUs, in ranges of tens of bytes; yields
+    the worker counts of the pools they create."""
+    with pytest.MonkeyPatch.context() as patch:
+        pools = pretend_cpus(patch, cpus)
+        patch.setattr(fileio, "_RANGE_BYTES", 16)
+        yield pools
+
+
+def assert_ranged_read_is_strict(content: bytes, suffix: str, cpus: int):
+    """``read_points`` in tiny ranges gives the strict parser's arrays
+    bitwise, or its error; returns the worker counts of its pools."""
+    with tempfile.TemporaryDirectory() as tmp, tiny_ranges(cpus) as pools:
+        path = Path(tmp) / f"points{suffix}"
+        path.write_bytes(content)
+        assert read_outcome(read_points, path) == strict_outcome(path)
+        assert multiprocessing.active_children() == []
+    return pools
+
+
+JSON_HEAD = '{"columns": ["x", "y", "sector"], "points": ['
+# Text that JSON or ``json.loads`` treats unlike the writer's numbers, and
+# text that looks like the writer's separators, head or tail.
+ODD_JSON = ["NaN", "Infinity", "-Infinity", "-0", "1E5", "1.", ".5", "01", "+1", "2.7", str(2**63), '"3"',
+            '"], ["', "[1]", "[[", "]]", "]]}", "], [", "],[", "  ", "\n", "\r\n", "\t", ",", "true", "null",
+            "\u00e9"]
+json_rows = st.tuples(finite_floats.map(repr) | st.integers().map(str), finite_floats.map(repr),
+                      st.integers(-(2**63), 2**63 - 1).map(str)).map(list)
+
+
+def edited(draw, text: str, tokens: list) -> str:
+    """``text`` with up to two edits, each the insertion of one of
+    ``tokens`` or the deletion of a character, anywhere."""
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(tokens)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+@st.composite
+def near_writer_json(draw):
+    """Points JSON text laid out as the writer lays it out, with odd tokens
+    in place of a value or two, then edited anywhere."""
+    rows = draw(st.lists(json_rows, max_size=10))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        draw(st.sampled_from(rows))[draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_JSON))
+    text = JSON_HEAD + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]}\n"
+    return edited(draw, text, ODD_JSON).encode()
+
+
+@st.composite
+def near_fast_path_csv(draw):
+    """Points CSV text close to what the writer makes, long enough for a few
+    tiny ranges."""
+    tags = st.integers(-(2**63), 2**63 - 1)
+    rows = draw(st.lists(st.tuples(finite_floats, finite_floats, tags), min_size=2, max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(["x,y,sector", *(f"{x!r},{y!r},{s}" for x, y, s in rows)]) + draw(st.sampled_from(["", end]))
+    return edited(draw, text, ODD_CHARACTERS + ["\n", "\r", ",", "nan", "1e400", " ", "5"]).encode()
+
+
+CSV_ROWS = ["1.5,-2.5,3", "-4.5,5.5,6", "7.5,8.5,9"] * 3
+JSON_ROWS = ", ".join(["[1.5, -2.5, 3]", "[-4.5, 5.5, 6]", "[7.5, 8.5, 13]"] * 3)
+# Files that start or end unlike the writer's, or only nearly like them.
+EDGE_FILES = [
+    "x,y,sector" + "\n".join(CSV_ROWS) + "\n",
+    "x,y,sector\r" + "\r".join(CSV_ROWS) + "\r",
+    "x,y,sector\r\n" + "\r\n".join(CSV_ROWS) + "\r\n",
+    "x,y,sector \n" + "\n".join(CSV_ROWS) + "\n",
+    "x,y,sector\n" + "\n".join(CSV_ROWS),
+    "x,y,sector\n\n\n" + "\n".join(CSV_ROWS) + "\n\n",
+    JSON_HEAD + JSON_ROWS + "]}",
+    JSON_HEAD + JSON_ROWS + "]} \n",
+    JSON_HEAD + JSON_ROWS + "]}\n\n",
+    JSON_HEAD + JSON_ROWS + "]}\n]]}\n",
+    JSON_HEAD + " " + JSON_ROWS + "]}\n",
+    JSON_HEAD + JSON_ROWS + "], \"points\": [[0.5, 0.5, 1]]}\n",
+    JSON_HEAD + JSON_ROWS + "], \"points\": [" + JSON_ROWS + "]}\n",
+    JSON_HEAD + "]}\n",
+    JSON_HEAD + "[]]}\n",
+    JSON_HEAD + "[], " + JSON_ROWS + "]}\n",
+]
+
+
+class TestRangedReader:
+    """A points file read in byte ranges, in workers, reads as its format's
+    strict parser reads the whole file."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @given(content=near_fast_path_csv() | near_fast_path_files() | csv_files)
+    @settings(max_examples=150, deadline=None)
+    def test_csv_same_arrays_or_same_error(self, cpus, content):
+        assert_ranged_read_is_strict(content, ".csv", cpus)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @given(content=near_writer_json())
+    @settings(max_examples=150, deadline=None)
+    def test_json_same_arrays_or_same_error(self, cpus, content):
+        assert_ranged_read_is_strict(content, ".json", cpus)
+
+    @pytest.mark.parametrize("body", [body for body, _ in DIVERGENT_CSV_BODIES])
+    def test_divergent_csv_inputs_mid_file(self, body):
+        rows = "".join(f"{i}.5,-{i}.25,{i}\n" for i in range(1, 8))
+        pools = assert_ranged_read_is_strict(f"x,y,sector\n{rows}{body}{rows}".encode(), ".csv", 2)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("token", ODD_JSON)
+    def test_odd_json_mid_file(self, token):
+        rows = ", ".join(f"[{i}.5, -{i}.25, {i}]" for i in range(1, 8))
+        for content in (f"{JSON_HEAD}{rows}, [{token}, 0.5, 1], {rows}]}}\n",
+                        f"{JSON_HEAD}{rows}, {token}{rows}]}}\n"):
+            pools = assert_ranged_read_is_strict(content.encode(), ".json", 2)
+            assert pools == [2]
+
+    @pytest.mark.parametrize("content", EDGE_FILES)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_heads_and_tails(self, cpus, content):
+        suffix = ".json" if content.startswith("{") else ".csv"
+        assert_ranged_read_is_strict(content.encode(), suffix, cpus)
+
+    @pytest.mark.parametrize("fmt, bad_row", [("csv", "0.5,zzz,1"), ("json", "[0.5, 0.5, 2.7]")])
+    def test_bad_row_in_the_last_range(self, tmp_path, fmt, bad_row):
+        d = spread_deployment(400, seed=3)
+        path = tmp_path / f"p.{fmt}"
+        write_points(path, d, fmt=fmt)
+        text = path.read_text()
+        last = text.rindex("\n", 0, len(text) - 1) + 1 if fmt == "csv" else text.rindex("[")
+        path.write_text(text[:last] + bad_row + ("\n" if fmt == "csv" else "]}\n"))
+        with tiny_ranges(2) as pools:
+            with pytest.raises(FormatError) as caught:
+                read_points(path)
+        assert pools == [2]
+        assert str(caught.value) == strict_outcome(path)
+        if fmt == "csv":
+            assert str(caught.value).startswith(f"{path}:401: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_worker_leaves_no_worker(self, tmp_path, fmt):
+        path = tmp_path / f"p.{fmt}"
+        write_points(path, spread_deployment(400, seed=4), fmt=fmt)
+        with tiny_ranges(2) as pools, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_read_range", read_range_fails)
+            with pytest.raises(OSError, match="Input/output error"):
+                read_points(path)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_truncated_after_it_was_cut(self, tmp_path, fmt):
+        d = spread_deployment(400, seed=5)
+        path = tmp_path / f"p.{fmt}"
+        write_points(path, d, fmt=fmt)
+        with tiny_ranges(2) as pools, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_ranges", truncated_after(fileio._ranges))
+            outcome = read_outcome(read_points, path)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        # the strict parser's verdict on what is left of the file
+        assert outcome == strict_outcome(path)
+        if fmt == "json":
+            assert outcome.startswith(f"{path}: not valid JSON")
 
 
 class TestPlotData:
