@@ -6,7 +6,6 @@ identical runs produce byte-identical files on every platform.
 """
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import json
@@ -15,7 +14,7 @@ import os
 import sys
 import warnings
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -93,40 +92,40 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _in_order(stack: ExitStack, fn, jobs: list):
-    """``fn(*job)`` for each of ``jobs``, in order, on every CPU available.
+@contextmanager
+def _in_order(fn, jobs: list):
+    """``fn(*job)`` for each of ``jobs``, in order, on every CPU available,
+    for the life of one ``with`` block.
 
-    With one job, or one CPU available to the process, this is
+    With one job, or one CPU available to the process, this yields
     ``itertools.starmap`` and ``multiprocessing`` is not imported.
-    Otherwise a fork pool of one worker per CPU (at most one per job), which
-    ``stack`` tears down (see :func:`_finish_jobs`), runs the jobs, two per
-    worker in flight, so memory beyond the jobs stays bounded by the
-    results not yet taken.  A job that raises raises here, when its result
-    is taken.
+    Otherwise a fork pool of one worker per CPU (at most one per job) runs
+    the jobs, two per worker in flight, so memory beyond the jobs stays
+    bounded by the results not yet taken.  A job that raises raises where
+    its result is taken.
+
+    Left normally or by an ``Exception``, the pool finishes the jobs it was
+    sent and its workers are joined: a worker terminated while it sends a
+    result leaves the pool's result queue locked, and terminating the pool
+    then hangs.  Left by KeyboardInterrupt or another exception that is not
+    an ``Exception``, the pool is terminated at once.
 
     Workers are forked: ``fn`` must call no BLAS and take no lock that the
     parent holds (the parent's other threads do not exist in them).
     """
     workers = min(_cpus(), len(jobs))
     if workers < 2:
-        return itertools.starmap(fn, jobs)
+        yield itertools.starmap(fn, jobs)
+        return
     import multiprocessing  # deferred, so that one-job calls never load it
 
-    pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
-    stack.push(functools.partial(_finish_jobs, pool))
-    return _taken_in_order(pool, fn, jobs, 2 * workers)
-
-
-def _finish_jobs(pool, exc_type, exc, traceback) -> None:
-    """Exit callback: let ``pool`` finish the jobs it was sent and join its
-    workers, before ``Pool.__exit__`` terminates it.
-
-    A worker terminated while it sends a result leaves the pool's result
-    queue locked, and terminating the pool then hangs.  On an exit by
-    KeyboardInterrupt or another exception that is not an ``Exception``,
-    ``Pool.__exit__`` terminates the workers at once.
-    """
-    if exc_type is None or issubclass(exc_type, Exception):
+    with multiprocessing.get_context("fork").Pool(workers) as pool:  # its exit terminates the pool
+        try:
+            yield _taken_in_order(pool, fn, jobs, 2 * workers)
+        except Exception:
+            pool.close()
+            pool.join()
+            raise
         pool.close()
         pool.join()
 
@@ -161,8 +160,7 @@ def _stream_points(deployment: Deployment, targets) -> None:
         (x[start:start + _ROW_CHUNK], y[start:start + _ROW_CHUNK], sector[start:start + _ROW_CHUNK])
         for start in range(0, x.size, _ROW_CHUNK)
     ]
-    with ExitStack() as stack:
-        texts = _in_order(stack, _format_rows, chunks)
+    with _in_order(_format_rows, chunks) as texts, ExitStack() as stack:
         files = [(stack.enter_context(Path(path).open("w")), _LAYOUTS[layout]) for path, layout in targets]
         for handle, (head, *_) in files:
             handle.write(head)
@@ -346,13 +344,13 @@ def _json_range(path, begin: int, end: int):
     return _json_rows(rows)
 
 
-# Points layouts as read: (heads, row separator, tail).  A file that starts
-# with one of ``heads`` and ends with ``tail``, as every file the writer
-# writes does, is cut into byte ranges at row separators, which belong to
-# no range.
+# Points layouts as read: (heads, row separator, tail, range parser, strict
+# parser).  A file that starts with one of ``heads`` and ends with ``tail``,
+# as every file the writer writes does, is cut into byte ranges at row
+# separators, which belong to no range.
 _READ_LAYOUTS = {
-    "csv": ((b"x,y,sector\n", b"x,y,sector\r"), b"\n", b""),
-    "json": ((b'{"columns": ["x", "y", "sector"], "points": [[',), b"], [", b"]]}\n"),
+    "csv": ((b"x,y,sector\n", b"x,y,sector\r"), b"\n", b"", _csv_range, _csv_points_by_line),
+    "json": ((b'{"columns": ["x", "y", "sector"], "points": [[',), b"], [", b"]]}\n", _json_range, _json_points),
 }
 # Bytes per range, at least: a file of fewer than two ranges is read in one,
 # in-process; a larger one is cut into up to one range per CPU.  On a 2-CPU
@@ -361,27 +359,14 @@ _RANGE_BYTES = 2 << 20
 _SCAN_BYTES = 1 << 16
 
 
-def _next_separator(handle, separator: bytes, at: int, stop: int) -> int:
-    """Offset of the first ``separator`` in the file that starts at or after
-    ``at`` and ends by ``stop``; ``stop`` if there is none."""
-    while at + len(separator) <= stop:
-        handle.seek(at)
-        block = handle.read(min(_SCAN_BYTES, stop - at))
-        found = block.find(separator)
-        if found >= 0:
-            return at + found
-        if len(block) < len(separator):  # the file shrank
-            break
-        at += len(block) - len(separator) + 1
-    return stop
-
-
 def _ranges(path, layout: str):
     """``(path, begin, end)`` of each byte range of a points file in
     ``layout``, or None if the file does not start and end as the writer's
     files do.  There is at most one range per CPU, each of at least
-    ``_RANGE_BYTES``, cut at row separators."""
-    heads, separator, tail = _READ_LAYOUTS[layout]
+    ``_RANGE_BYTES``.  Each range but the last ends at the first row
+    separator within ``_SCAN_BYTES`` of its share's nominal end; where there
+    is none, the rest of the file is the last range."""
+    heads, separator, tail, *_ = _READ_LAYOUTS[layout]
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         first = handle.read(len(heads[0]))
@@ -394,28 +379,14 @@ def _ranges(path, layout: str):
         count = max(1, min(_cpus(), (stop - begin) // _RANGE_BYTES))
         ranges, start = [], begin
         for index in range(1, count):
-            end = _next_separator(handle, separator, max(start, begin + index * (stop - begin) // count), stop)
-            if end == stop:
+            at = max(start, begin + index * (stop - begin) // count)
+            handle.seek(at)
+            found = handle.read(min(_SCAN_BYTES, stop - at)).find(separator)
+            if found < 0:
                 break
-            ranges.append((path, start, end))
-            start = end + len(separator)
+            ranges.append((path, start, at + found))
+            start = at + found + len(separator)
     return ranges + [(path, start, stop)]
-
-
-def _points_by_range(path, layout: str, parse_range):
-    """Arrays of a points file in ``layout``, whose ranges (see
-    :func:`_ranges`) ``parse_range`` parses on every CPU available (see
-    :func:`_in_order`); None if the file is not cut into ranges or
-    ``parse_range`` refuses any of them.  Workers read their own ranges, so
-    in a parallel read no process holds the whole file."""
-    ranges = _ranges(path, layout)
-    if ranges is None:
-        return None
-    with ExitStack() as stack:
-        parts = list(_in_order(stack, parse_range, ranges))
-    if any(part is None for part in parts):
-        return None
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def read_points(path):
@@ -423,19 +394,24 @@ def read_points(path):
 
     Both formats hold finite coordinates and 64-bit integer tags; anything
     else raises :class:`FormatError`.  A file laid out as the writer lays
-    it out is parsed in byte ranges, in worker processes if it holds two
-    ranges of ``_RANGE_BYTES`` and the process has more than one CPU.  If
-    any range is refused, the strict parser of the format reads the whole
+    it out is parsed in byte ranges (see :func:`_ranges`), in worker
+    processes if it holds two ranges of ``_RANGE_BYTES`` and the process
+    has more than one CPU (see :func:`_in_order`).  Workers read their own
+    ranges, so in a parallel read no process holds the whole file.  If any
+    range is refused, the strict parser of the format reads the whole
     file: it alone defines the format and words every error, naming
     ``path:line`` for CSV.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        layout, parse_range, parse = "json", _json_range, _json_points
-    else:
-        layout, parse_range, parse = "csv", _csv_range, _csv_points_by_line
-    arrays = _points_by_range(path, layout, parse_range)
-    return arrays if arrays is not None else parse(path)
+    layout = "json" if path.suffix == ".json" else "csv"
+    *_, parse_range, parse = _READ_LAYOUTS[layout]
+    ranges = _ranges(path, layout)
+    if ranges is not None:
+        with _in_order(parse_range, ranges) as parsed:
+            parts = list(parsed)
+        if all(part is not None for part in parts):
+            return tuple(np.concatenate(column) for column in zip(*parts))
+    return parse(path)
 
 
 def automatic_metadata(deployment: Deployment, run: int) -> dict:

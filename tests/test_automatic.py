@@ -146,18 +146,19 @@ class TestDeployAutomatic:
         assert len(d) == nodes
         r = np.hypot(d.x, d.y)
         assert np.all(r < 1.0)
-        layers = d.layer_set.layer_count
+        layers = len(d.plan.sectors)
         assert 2 <= layers <= max_layers
         counts = np.bincount(d.sector)[1:]
-        assert counts[0] == d.inner_count
-        assert np.all(counts[1:] == d.outer_count)
-        assert d.inner_count + (layers - 1) * d.outer_count == nodes
+        inner, outer = d.plan.sectors[0].count, d.plan.sectors[1].count
+        assert counts[0] == inner
+        assert np.all(counts[1:] == outer)
+        assert inner + (layers - 1) * outer == nodes
 
     def test_layer_tags_match_geometry(self):
         cfg = NetworkConfig(radius=2.0, max_layers=6, nodes=600, seed=3)
         d = deploy_automatic(cfg, RandomStream(3, 0))
         r = np.hypot(d.x, d.y)
-        for layer in range(1, d.layer_set.layer_count + 1):
+        for layer in range(1, len(d.plan.sectors) + 1):
             shape = d.plan.sectors[layer - 1].shape
             inner, outer = shape.inner, shape.outer
             mask = d.sector == layer
@@ -171,7 +172,7 @@ class TestDeployAutomatic:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.sector, b.sector)
-        assert a.layer_set == b.layer_set
+        assert a.plan == b.plan
 
     def test_pinned_draw_order(self):
         # count draw, radius draw, then (radial, angular) pairs per node,
@@ -185,7 +186,7 @@ class TestDeployAutomatic:
         cfg = NetworkConfig(radius=1.0, max_layers=2, nodes=3, seed=0)
         d = deploy_automatic(cfg, stub)
         assert stub.consumed == 8
-        assert d.inner_count == 2 and d.outer_count == 1
+        assert d.plan.sectors[0].count == 2 and d.plan.sectors[1].count == 1
         r = np.hypot(d.x, d.y)
         # first inner node at the origin, second at r = 0.125 (u = 0.25 of
         # the inner disk area), outer node pinned to the boundary radius
@@ -197,7 +198,7 @@ class TestDeployAutomatic:
         stub = SequenceStream([0.999, 0.5, 0.5] + [0.5, 0.5] * 9)  # 0.999: 3 layers
         cfg = NetworkConfig(radius=1.0, max_layers=3, nodes=9, seed=0)
         d = deploy_automatic(cfg, stub)
-        assert d.layer_set.boundaries == (0.5, 0.5)
+        assert tuple(sec.shape.outer for sec in d.plan.sectors[:-1]) == (0.5, 0.5)
         r = np.hypot(d.x, d.y)
         middle = d.sector == 2
         assert np.all(r[middle] == 0.5)
@@ -211,4 +212,4 @@ class TestDeployAutomatic:
     def test_forced_count_reaches_worst_case(self):
         cfg = NetworkConfig(radius=1.0, max_layers=7, nodes=700, seed=5)
         d = deploy_automatic(cfg, TopLayerCount(5, 0))
-        assert d.layer_set.layer_count == 7
+        assert len(d.plan.sectors) == 7

@@ -326,8 +326,8 @@ class TestValidateCommand:
         uniforms = np.random.default_rng(8).random(2 * cfg.nodes).tolist()
         d = deploy_automatic(cfg, SequenceStream([0.999, 0.5, 0.5] + uniforms))
         resolved = plan_run(cfg, SequenceStream([0.999, 0.5, 0.5]))
-        assert d.plan == resolved and d.layer_set.boundaries == (0.5, 0.5)
-        assert (d.inner_count, d.outer_count) == (300, 300)
+        assert d.plan == resolved and tuple(sec.shape.outer for sec in d.plan.sectors[:-1]) == (0.5, 0.5)
+        assert (d.plan.sectors[0].count, d.plan.sectors[1].count) == (300, 300)
         assert d.plan.sectors[1].shape == Circle(0.5)
         write_points(tmp_path / "run_000.csv", d)
         write_metadata(tmp_path / "run_000.meta.json", automatic_metadata(d, 0))

@@ -233,13 +233,27 @@ class TestPoolHelper:
         pools = pretend_cpus(monkeypatch, 2)
         jobs = [(tmp_path / f"job{i}", 0.0 if i == 0 else 0.3) for i in range(4)]  # all four sent at once
         with pytest.raises(KeyError):
-            with contextlib.ExitStack() as stack:
-                for _ in fileio._in_order(stack, touch_after, jobs):
+            with fileio._in_order(touch_after, jobs) as results:
+                for _ in results:
                     raise KeyError("the caller fails at its first result")
         assert pools == [2]
         assert multiprocessing.active_children() == []
         # no worker was terminated mid-job, as it might have been mid-send of a result
         assert all(path.exists() for path, _ in jobs)
+
+    def test_interrupt_terminates_jobs_in_flight(self, tmp_path, monkeypatch):
+        pools = pretend_cpus(monkeypatch, 2)
+        jobs = [(tmp_path / f"job{i}", 0.0 if i == 0 else 30.0) for i in range(4)]  # all four sent at once
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with fileio._in_order(touch_after, jobs) as results:
+                for _ in results:
+                    raise KeyboardInterrupt
+        assert time.monotonic() - start < 10
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        # the sleeping workers were terminated before they touched their files
+        assert [path.exists() for path, _ in jobs] == [True, False, False, False]
 
 
 # Every points layout, by name: each writes into ``directory``; ``.xy`` is
@@ -292,9 +306,9 @@ class TestMetadata:
         write_metadata(tmp_path / "run.meta.json", automatic_metadata(d, run=0))
         back = deployment_from_files(tmp_path / "run.csv", tmp_path / "run.meta.json")
         np.testing.assert_array_equal(back.x, d.x)
-        assert back.layer_set == d.layer_set
+        assert back.plan == d.plan
         assert back.config == cfg
-        assert back.inner_count == d.inner_count
+        assert back.plan.sectors[0].count == d.plan.sectors[0].count
 
     def test_rebuild_planned_deployment(self, tmp_path):
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 10), Sector(Rect(2, 2, 3, 3), 5)))
@@ -492,7 +506,8 @@ class TestParsersNeverCrash:
                 return
         assert isinstance(d, Deployment)
         if d.config is not None:
-            assert d.inner_count + (d.layer_set.layer_count - 1) * d.outer_count == d.config.nodes
+            inner, outer = d.plan.sectors[0].count, d.plan.sectors[1].count
+            assert inner + (len(d.plan.sectors) - 1) * outer == d.config.nodes
 
 
 def read_outcome(read, path):
@@ -748,6 +763,21 @@ class TestRangedReader:
         suffix = ".json" if content.startswith("{") else ".csv"
         assert_ranged_read_is_strict(content.encode(), suffix, cpus)
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("fmt, short_scan", [("csv", 0), ("json", 3)])  # shorter than the separator
+    def test_no_separator_in_the_scan_leaves_the_file_uncut(self, tmp_path, fmt, short_scan, cpus):
+        path = tmp_path / f"p.{fmt}"
+        write_points(path, spread_deployment(300, seed=6), fmt=fmt)
+        strict = strict_outcome(path)
+        for scan, expected_pools in ((short_scan, []), (fileio._SCAN_BYTES, [cpus])):
+            with tiny_ranges(cpus) as pools, pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fileio, "_SCAN_BYTES", scan)
+                # the ranged read alone gives the arrays: a call of the strict parser would raise TypeError
+                patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
+                outcome = read_outcome(read_points, path)
+            assert pools == expected_pools, scan
+            assert outcome == strict, scan
+
     @pytest.mark.parametrize("fmt, bad_row", [("csv", "0.5,zzz,1"), ("json", "[0.5, 0.5, 2.7]")])
     def test_bad_row_in_the_last_range(self, tmp_path, fmt, bad_row):
         d = spread_deployment(400, seed=3)
@@ -804,7 +834,7 @@ class TestPlotData:
         assert float(y0) == d.y[0]
         assert int(s0) == d.sector[0]
         rings = [float(v) for v in (tmp_path / "run.rings").read_text().split()]
-        assert rings == list(d.layer_set.boundaries) + [1.5]
+        assert rings == [sec.shape.outer for sec in d.plan.sectors[:-1]] + [1.5]
 
     def test_planned_has_no_rings(self, tmp_path):
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 5),))
@@ -824,7 +854,7 @@ class TestReport:
         assert payload["all_passed"] is True
         assert payload["ks_alpha"] == 0.01
         assert payload["chi2_alpha"] == 0.001
-        assert len(payload["per_sector"]) == d.layer_set.layer_count
+        assert len(payload["per_sector"]) == len(d.plan.sectors)
         total = sum(s["count"] for s in payload["per_sector"])
         assert total == 20_000
         for entry in payload["per_sector"]:

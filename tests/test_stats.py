@@ -273,11 +273,11 @@ class TestEvaluateDeployment:
         d = deploy_automatic(cfg, RandomStream(15, 0))
         report = evaluate_deployment(d)
         assert report.all_passed()
-        assert len(report.radial) == d.layer_set.layer_count
+        assert len(report.radial) == len(d.plan.sectors)
         assert report.angular is not None
         payload = report.to_dict()
         assert payload["all_passed"] is True
-        assert {s["index"] for s in payload["per_sector"]} == set(range(1, d.layer_set.layer_count + 1))
+        assert {s["index"] for s in payload["per_sector"]} == set(range(1, len(d.plan.sectors) + 1))
 
     def test_small_layers_skipped_not_failed(self):
         cfg = NetworkConfig(radius=1.0, max_layers=5, nodes=100, seed=42)
