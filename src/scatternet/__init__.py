@@ -1,6 +1,7 @@
 """Seeded generation of inhomogeneous spatial node deployments over a disk.
 
-Two generation modes share one fill per shape (``scatternet.sampling``):
+Two generation modes share one fill (``scatternet.sampling``), which
+hands each shape's ``place`` two uniform variates per point:
 ``deploy_automatic`` builds a random layered deployment from three designer
 inputs (region radius, layer-count bound, node total), while
 ``deploy_planned`` fills explicit non-overlapping sectors.

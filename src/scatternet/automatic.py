@@ -5,8 +5,8 @@ the number of concentric layers, the sorted radii delimiting them, and the
 polar position of every node inside its layer.  Nodes are split so the
 innermost layer absorbs the division remainder and each outer layer gets an
 equal quota; within a layer the radial transform r = sqrt(L1^2 + u * (L2^2 -
-L1^2)) makes points uniform over the annulus area rather than over the
-radius.  The layer count, radii and quotas resolve straight to the run's
+L1^2)) of the shape's ``place`` makes points uniform over the annulus area
+rather than over the radius.  The layer count, radii and quotas resolve straight to the run's
 :class:`DeploymentPlan` (a disk, then annuli), the sector model the planned
 mode shares, and ``scatternet.sampling`` fills it.
 """

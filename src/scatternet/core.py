@@ -1,7 +1,14 @@
 """Domain types and geometric primitives shared by every deployment mode.
 
-All types are immutable after construction and all operations are pure
-functions, so they can be shared freely between concurrent workers.
+Each shape owns its area law in both directions: ``place(u1, u2, xs, ys)``
+maps two uniform variates per point to a point uniform over the shape, and
+``unit(x, y)`` maps points back to their pair ``(u1, u2)`` in the unit
+square (the probability integral transform the tests read).
+
+All types are immutable after construction.  Every operation is a pure
+function of its arguments, except that ``place`` writes its points into the
+caller's ``xs`` and ``ys``; so shapes can be shared freely between
+concurrent workers.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ __all__ = [
 ]
 
 MAX_UINT64 = 2**64 - 1
+TWO_PI = 2.0 * math.pi
 
 
 def normal_area(area: float) -> bool:
@@ -117,8 +125,34 @@ class LayerSet:
         return len(self.boundaries) + 1
 
 
+class _Circular:
+    """The area law of an origin-centred shape between radii ``inner`` and
+    ``outer``: the radius is the inverse of the area CDF, r = sqrt(inner^2 +
+    u1 * (outer^2 - inner^2)), and the angle is u2 * 2pi.  ``inner == outer``
+    (a :class:`Circle`) places every point at the shared radius."""
+
+    def place(self, u1, u2, xs, ys) -> None:
+        inner_sq = self.inner * self.inner
+        span = self.outer * self.outer - self.inner * self.inner
+        radius = np.sqrt(u1 * span + inner_sq)
+        angle = u2 * TWO_PI
+        np.multiply(radius, np.cos(angle), out=xs)
+        np.multiply(radius, np.sin(angle), out=ys)
+
+    def unit(self, x, y):
+        """The area CDF of each point's radius, and its angle as a fraction
+        of a turn.  Needs a positive area: a :class:`Circle` divides by 0."""
+        r = np.hypot(x, y)
+        u1 = (r * r - self.inner * self.inner) / (self.outer * self.outer - self.inner * self.inner)
+        return u1, np.mod(np.arctan2(y, x), TWO_PI) / TWO_PI
+
+    def contains(self, x, y):
+        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
+        return (r2 >= self.inner**2) & (r2 <= self.outer**2)
+
+
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Circular):
     """Origin-centered annulus with inner radius ``inner`` and outer ``outer``."""
 
     inner: float
@@ -131,13 +165,9 @@ class Annulus:
     def area(self) -> float:
         return math.pi * (self.outer * self.outer - self.inner * self.inner)
 
-    def contains(self, x, y):
-        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-        return (r2 >= self.inner**2) & (r2 <= self.outer**2)
-
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Circular):
     """Origin-centered disk of radius ``radius``: an annulus with inner radius 0."""
 
     radius: float
@@ -153,9 +183,6 @@ class Disk:
 
     def area(self) -> float:
         return math.pi * self.radius**2
-
-    def contains(self, x, y):
-        return np.asarray(x) ** 2 + np.asarray(y) ** 2 <= self.radius**2
 
 
 @dataclass(frozen=True)
@@ -177,6 +204,18 @@ class Rect:
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
+    def place(self, u1, u2, xs, ys) -> None:
+        """An affine map per axis: the first variate to x, the second to y."""
+        np.multiply(u1, self.x1 - self.x0, out=xs)
+        xs += self.x0
+        np.multiply(u2, self.y1 - self.y0, out=ys)
+        ys += self.y0
+
+    def unit(self, x, y):
+        """Each point's y then x offset as a fraction of the height and
+        width: rows first, as a circular shape gives its shells first."""
+        return (y - self.y0) / (self.y1 - self.y0), (x - self.x0) / (self.x1 - self.x0)
+
     def contains(self, x, y):
         x = np.asarray(x)
         y = np.asarray(y)
@@ -184,7 +223,7 @@ class Rect:
 
 
 @dataclass(frozen=True)
-class Circle:
+class Circle(_Circular):
     """Origin-centered circle of radius ``radius``: a zero-width layer.
 
     It arises only from two equal layer radii (a floating-point collision

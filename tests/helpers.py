@@ -8,10 +8,11 @@ import time
 import numpy as np
 
 from scatternet.automatic import deploy_automatic, split_nodes
-from scatternet.core import NetworkConfig, Rect, validate_config
+from scatternet.core import Annulus, NetworkConfig, Rect, validate_config
 from scatternet.planned import OverlapCheck
 from scatternet.rng import RandomStream
-from scatternet.sampling import fill_annulus, fill_sector
+from scatternet.sampling import fill_sector
+from scatternet.stats import AREAL_SHELLS, AREAL_WEDGES
 
 
 class SequenceStream:
@@ -54,20 +55,17 @@ class TopLayerCount(RandomStream):
         return 1.0 - 2.0**-53
 
 
-def sample_annulus(inner, outer, n, stream):
-    """``n`` points drawn by the annulus fill into fresh arrays."""
-    x = np.empty(n, dtype=np.float64)
-    y = np.empty(n, dtype=np.float64)
-    fill_annulus(x, y, inner, outer, stream)
-    return x, y
-
-
 def sample_sector(shape, n, stream):
     """``n`` points drawn by the fill for ``shape`` into fresh arrays."""
     x = np.empty(n, dtype=np.float64)
     y = np.empty(n, dtype=np.float64)
     fill_sector(x, y, shape, stream)
     return x, y
+
+
+def sample_annulus(inner, outer, n, stream):
+    """``n`` points drawn by the annulus fill into fresh arrays."""
+    return sample_sector(Annulus(inner, outer), n, stream)
 
 
 def _forced_run_time(config, seed: int, attempt: int) -> float:
@@ -298,3 +296,36 @@ def pair_scan(sectors) -> OverlapCheck:
             if _shapes_overlap(sectors[i].shape, sectors[j].shape):
                 return OverlapCheck(ok=False, pair=(i + 1, j + 1))
     return OverlapCheck(ok=True)
+
+
+# The per-shape binning and radial CDF that the shapes' ``unit`` replaced:
+# the oracle for every point's areal cell and for the KS statistic.
+def equal_area_boundaries(inner, outer):
+    """Radii splitting an annulus into ``AREAL_SHELLS`` annuli of identical area."""
+    fractions = np.arange(AREAL_SHELLS + 1, dtype=np.float64) / AREAL_SHELLS
+    return np.sqrt(inner * inner + fractions * (outer * outer - inner * inner))
+
+
+def _bin(offset, width, bins):
+    return np.clip((offset * (bins / width)).astype(np.int64), 0, bins - 1)
+
+
+def areal_cells(x, y, shape):
+    """Each point's cell of the 8 x 8 areal grid, shell (or row) first."""
+    if isinstance(shape, Rect):
+        band = _bin(y - shape.y0, shape.y1 - shape.y0, AREAL_SHELLS)
+        slot = _bin(x - shape.x0, shape.x1 - shape.x0, AREAL_WEDGES)
+    else:
+        edges = equal_area_boundaries(shape.inner, shape.outer)
+        band = np.clip(np.searchsorted(edges[1:-1], np.hypot(x, y), side="right"), 0, AREAL_SHELLS - 1)
+        slot = _bin(np.mod(np.arctan2(y, x), 2.0 * math.pi), 2.0 * math.pi, AREAL_WEDGES)
+    return band * AREAL_WEDGES + slot
+
+
+def radial_ks_statistic(x, y, inner, outer):
+    """The KS distance of the radii from the annulus area CDF, sorted by radius."""
+    r = np.sort(np.hypot(x, y))
+    n = r.size
+    cdf = (r * r - inner * inner) / (outer * outer - inner * inner)
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))

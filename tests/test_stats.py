@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import SequenceStream, TopLayerCount, sample_annulus
+from helpers import SequenceStream, TopLayerCount, areal_cells, radial_ks_statistic, sample_annulus, sample_sector
 from scatternet.automatic import deploy_automatic
-from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
+from scatternet.core import Annulus, Circle, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.planned import DeploymentPlan, deploy_planned
 from scatternet.rng import RandomStream
 from scatternet.stats import (
@@ -17,7 +17,6 @@ from scatternet.stats import (
     areal_chi2,
     check_membership,
     count_per_sector,
-    equal_area_boundaries,
     evaluate_deployment,
     radial_ks,
 )
@@ -148,15 +147,51 @@ class TestAngularChi2:
         assert angular_chi2(x, y).dof == 35
 
 
-class TestArealChi2:
-    def test_equal_area_boundary_closed_form(self):
-        edges = equal_area_boundaries(0.0, 1.0)
-        assert edges.size == 9
-        assert edges[4] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        edges = equal_area_boundaries(0.5, 1.0)
-        areas = np.diff(edges**2) * math.pi
-        np.testing.assert_allclose(areas, areas[0])
+class TestShapeUnit:
+    # a disk, an annulus, a thin annulus and an off-origin rectangle
+    SHAPES = [Disk(1.0), Annulus(0.5, 1.0), Annulus(3.0, 3.001), Rect(-3.5, 2.0, 1.25, 2.75)]
 
+    def test_cells_and_ks_statistic_match_the_per_shape_formulas(self):
+        """Binning the ``unit`` pairs gives every point the cell the
+        equal-area radii and per-axis grid give it, and KS on ``u1`` gives
+        the KS statistic of the sorted radii bit for bit."""
+        for seed in range(200):
+            for shape in self.SHAPES:
+                x, y = sample_sector(shape, 400, RandomStream(seed, 9))
+                u1, u2 = shape.unit(x, y)
+                cells = np.clip(np.floor(8 * u1), 0, 7) * 8 + np.clip(np.floor(8 * u2), 0, 7)
+                expected = areal_cells(x, y, shape)
+                np.testing.assert_array_equal(cells, expected, err_msg=f"{seed} {shape}")
+                observed = np.bincount(expected, minlength=64).astype(np.float64)
+                oracle = float(np.sum((observed - 400 / 64) ** 2 / (400 / 64)))
+                assert areal_chi2(x, y, shape).statistic == oracle, (seed, shape)
+                if not isinstance(shape, Rect):
+                    ks = radial_ks(x, y, shape.inner, shape.outer).statistic
+                    assert ks == radial_ks_statistic(x, y, shape.inner, shape.outer), (seed, shape)
+
+    def test_unit_inverts_place(self):
+        u = RandomStream(4, 0).uniform_block(2000)
+        for shape in self.SHAPES:
+            x, y = np.empty(1000), np.empty(1000)
+            shape.place(u[0::2], u[1::2], x, y)
+            u1, u2 = shape.unit(x, y)
+            first, second = (u2, u1) if isinstance(shape, Rect) else (u1, u2)  # a rectangle gives y first
+            np.testing.assert_allclose(first, u[0::2], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(second, u[1::2], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [Circle(1.0), Rect(0.0, 0.0, 1e-200, 1e-200)])
+    def test_zero_area_shapes_are_refused(self, shape):
+        x, y = sample_sector(shape, 1000, RandomStream(0, 0))
+        with pytest.raises(ValueError, match="positive area"):
+            areal_chi2(x, y, shape)
+
+    def test_zero_width_radial_ks_is_refused(self):
+        x, y = sample_sector(Circle(1.0), 1000, RandomStream(0, 0))
+        with pytest.raises(ValueError, match="inner < outer"):
+            radial_ks(x, y, 1.0, 1.0)
+
+
+class TestArealChi2:
     def test_correct_sampler_passes(self):
         x, y = sample_annulus(0.5, 1.0, 10_000, RandomStream(40, 0))
         result = areal_chi2(x, y, Annulus(0.5, 1.0), alpha=0.001)
