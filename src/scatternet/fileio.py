@@ -235,58 +235,11 @@ def _json_points(path):
     )
 
 
-def _data_line(lines, row: int) -> int:
-    """1-based line number of data row ``row`` (0-based); blank lines hold no row."""
-    return [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()][row]
-
-
-def _csv_points_by_line(path):
-    """Arrays of a points CSV file: a header, then ``x,y,sector`` rows of two
-    finite numbers and a 64-bit integer; blank lines are skipped.
-
-    This parser defines the format and names ``path:line`` in every error.
-    """
-    try:
-        lines = path.read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid text ({exc})") from exc
-    if not lines or lines[0].strip() != POINTS_HEADER:
-        raise FormatError(f"{path}: expected header {POINTS_HEADER!r}")
-    xs, ys, tags = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 3 comma-separated fields")
-        try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-            tags.append(int(parts[2]))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    x = np.array(xs, dtype=np.float64)
-    y = np.array(ys, dtype=np.float64)
-    try:
-        sector = np.array(tags, dtype=np.int64)
-    except OverflowError:
-        row = next(i for i, tag in enumerate(tags) if not -(2**63) <= tag < 2**63)
-        where = f"{path}:{_data_line(lines, row)}"
-        raise FormatError(f"{where}: sector tag {tags[row]} does not fit in 64 bits") from None
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        where = f"{path}:{_data_line(lines, row)}"
-        raise FormatError(f"{where}: coordinates must be finite, got ({x[row]}, {y[row]})")
-    return x, y, sector
-
-
-# Bytes of a points CSV file that ``np.loadtxt`` reads exactly as
-# ``_csv_points_by_line`` does: ASCII digits, signs, points, exponent marks,
-# commas, spaces and line ends.  Others (underscores, non-ASCII digits, the
-# control characters that ``str.splitlines`` breaks lines at but ``loadtxt``
-# strips as whitespace) are left to the line parser.
-_LOADTXT_BYTES = b"0123456789+-.eE, \n\r"
+# Bytes of a points CSV body: ASCII digits, signs, points, exponent marks,
+# commas, spaces and newlines.  Anything else (``\r``, tabs, underscores,
+# non-ASCII digits or spaces) is refused before ``np.loadtxt`` sees it.
+_LOADTXT_BYTES = b"0123456789+-.eE, \n"
+_CSV_HEAD = (POINTS_HEADER + "\n").encode()
 _CSV_ROW = np.dtype([("x", "f8"), ("y", "f8"), ("s", "i8")])
 
 
@@ -299,31 +252,72 @@ def _read_range(path, begin: int, end: int):
 
 
 def _csv_range(path, begin: int, end: int):
-    """Arrays of the CSV rows in bytes ``begin`` to ``end``, or None unless
-    ``np.loadtxt`` reads them as ``_csv_points_by_line`` would: only
-    ``_LOADTXT_BYTES`` are read.
+    """Arrays of the CSV rows in bytes ``begin`` to ``end``, or None.
+
+    This parser defines the points CSV body.  Only ``_LOADTXT_BYTES`` are
+    read; empty lines are skipped; every other line must be a row that
+    ``np.loadtxt`` reads as two finite float64 coordinates and an int64
+    tag.  Acceptance is per line, so a range is accepted exactly when each
+    of its lines is.  A range of newlines only holds no rows.
 
     A range that is the whole body, from the end of the header line to the
-    end of the file, ``loadtxt`` reads from the path: that is about a fifth
-    faster, and translates every line end.  Any other range it reads from
-    memory, where lines end at ``\n`` (optionally after ``\r``) and a
-    ``\r`` elsewhere is refused, leaving such files to the line parser.
+    end of the file, ``loadtxt`` reads from the path, which is about a
+    fifth faster; any other range it reads from memory.  With no ``\r``
+    in the bytes, the two reads cannot differ.
     """
     data = _read_range(path, begin, end)
     if data is None or data.translate(None, _LOADTXT_BYTES):
         return None
-    whole = begin == len(POINTS_HEADER) + 1 and end == os.path.getsize(path)
-    source = path if whole else io.BytesIO(data)
-    del data
-    try:
-        with warnings.catch_warnings():
-            # "input contained no data", and integers read via float on older numpy
-            warnings.simplefilter("error")
-            rows = np.loadtxt(source, delimiter=",", skiprows=int(whole), comments=None, ndmin=1, dtype=_CSV_ROW)
-    except (ValueError, Warning):
-        return None
+    if not data.lstrip(b"\n"):
+        rows = np.empty(0, dtype=_CSV_ROW)
+    else:
+        whole = begin == len(_CSV_HEAD) and end == os.path.getsize(path)
+        source = path if whole else io.BytesIO(data)
+        del data
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # integers read via float on older numpy
+                rows = np.loadtxt(source, delimiter=",", skiprows=int(whole), comments=None, ndmin=1,
+                                  dtype=_CSV_ROW)
+        except (ValueError, Warning):
+            return None
     x, y = rows["x"], rows["y"]
     return (x, y, rows["s"]) if np.isfinite(x).all() and np.isfinite(y).all() else None
+
+
+def _csv_points(path):
+    """Arrays of a points CSV file: the header line ``x,y,sector``, then a
+    body that :func:`_csv_range` accepts as one range.
+
+    A refused body is bisected by its lines with :func:`_csv_range` itself,
+    which accepts a range exactly when it accepts each of its lines: about
+    log2(n) calls, over about one more parse of the body, find the first
+    refused line, which the :class:`FormatError` names as ``path:line``.
+    """
+    with open(path, "rb") as handle:
+        if handle.read(len(_CSV_HEAD)) != _CSV_HEAD:
+            raise FormatError(f"{path}:1: expected the header line {_CSV_HEAD.decode()!r}")
+        begin = handle.tell()
+        end = os.fstat(handle.fileno()).st_size
+    rows = _csv_range(path, begin, end)
+    if rows is not None:
+        return rows
+    with open(path, "rb") as handle:
+        handle.seek(begin - 1)
+        data = handle.read()
+    # offsets in ``data`` of the header's newline, every body newline and the end
+    cuts = np.append(np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")), len(data))
+    lo, hi = 0, len(cuts) - 1  # body lines lo..hi-1, 0-based, hold the first refused line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _csv_range(path, begin + int(cuts[lo]), begin - 1 + int(cuts[mid])) is None:
+            hi = mid
+        else:
+            lo = mid
+    line = data[cuts[lo] + 1:cuts[lo + 1]]
+    shown = repr(line[:80].decode(errors="replace")) + ("..." if len(line) > 80 else "")
+    raise FormatError(f"{path}:{lo + 2}: expected x,y,sector, two finite numbers and a 64-bit integer, "
+                      f"got {shown}")
 
 
 def _json_range(path, begin: int, end: int):
@@ -344,13 +338,14 @@ def _json_range(path, begin: int, end: int):
     return _json_rows(rows)
 
 
-# Points layouts as read: (heads, row separator, tail, range parser, strict
-# parser).  A file that starts with one of ``heads`` and ends with ``tail``,
-# as every file the writer writes does, is cut into byte ranges at row
-# separators, which belong to no range.
+# Points layouts as read: (head, row separator, tail, range parser, strict
+# parser).  A file that starts with ``head`` and ends with ``tail``, as
+# every file the writer writes does, is cut into byte ranges at row
+# separators, which belong to no range.  The strict parser reads a whole
+# file and words every error.
 _READ_LAYOUTS = {
-    "csv": ((b"x,y,sector\n", b"x,y,sector\r"), b"\n", b"", _csv_range, _csv_points_by_line),
-    "json": ((b'{"columns": ["x", "y", "sector"], "points": [[',), b"], [", b"]]}\n", _json_range, _json_points),
+    "csv": (_CSV_HEAD, b"\n", b"", _csv_range, _csv_points),
+    "json": (b'{"columns": ["x", "y", "sector"], "points": [[', b"], [", b"]]}\n", _json_range, _json_points),
 }
 # Bytes per range, at least: a file of fewer than two ranges is read in one,
 # in-process; a larger one is cut into up to one range per CPU.  On a 2-CPU
@@ -366,12 +361,11 @@ def _ranges(path, layout: str):
     ``_RANGE_BYTES``.  Each range but the last ends at the first row
     separator within ``_SCAN_BYTES`` of its share's nominal end; where there
     is none, the rest of the file is the last range."""
-    heads, separator, tail, *_ = _READ_LAYOUTS[layout]
+    head, separator, tail, *_ = _READ_LAYOUTS[layout]
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        first = handle.read(len(heads[0]))
-        begin, stop = len(first), size - len(tail)
-        if first not in heads or begin > stop:
+        begin, stop = len(head), size - len(tail)
+        if handle.read(begin) != head or begin > stop:
             return None
         handle.seek(stop)
         if handle.read() != tail:
@@ -399,8 +393,10 @@ def read_points(path):
     has more than one CPU (see :func:`_in_order`).  Workers read their own
     ranges, so in a parallel read no process holds the whole file.  If any
     range is refused, the strict parser of the format reads the whole
-    file: it alone defines the format and words every error, naming
-    ``path:line`` for CSV.
+    file in-process and words the error: :func:`_csv_points` names
+    ``path:line``, :func:`_json_points` the path.  The range parsers read
+    exactly what the strict parsers read, so the outcome depends on
+    neither the CPU count nor the range size.
     """
     path = Path(path)
     layout = "json" if path.suffix == ".json" else "csv"

@@ -205,6 +205,12 @@ BAD_CSV_POINTS = [
     "zzz,0.5,1",
     "0.5,0.5",
     "0.5,0.5,1,7",
+    # text that Python's float() and int() would read, but the format refuses
+    "1_0,0.5,1",
+    "\u0661.5,0.5,1",
+    "\uff10.5,0.5,1",
+    "0.5\xa0,0.5,1",
+    "0.5,0.5,1\r",
 ]
 
 

@@ -399,7 +399,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessing_unloaded(tmp_path):
     # a run of one chunk formats its rows, and a file of one range is parsed, in the parent,
-    # so neither pays for multiprocessing
+    # so neither pays for multiprocessing; nor does locating a bad row of such a file
     src = Path(cli.__file__).parent.parent
     code = (
         "import sys, scatternet.cli\n"
@@ -409,6 +409,9 @@ def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessin
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-chunk deploy')\n"
         "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 0: sys.exit('validate failed')\n"
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-range validate')\n"
+        "with open(sys.argv[1] + '/run_000.csv', 'a') as points: points.write('1_0,0.5,1\\n')\n"
+        "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 3: sys.exit('bad row not refused')\n"
+        "if 'multiprocessing' in sys.modules: sys.exit('loaded by locating a bad row')\n"
     )
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                    env={**os.environ, "PYTHONPATH": str(src)}, check=True)

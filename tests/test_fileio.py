@@ -90,10 +90,12 @@ class TestPointsRoundTrip:
         write_points(path, d)
         assert path.read_text() == "x,y,sector\n0.5,-0.25,3\n"
 
-    def test_bad_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("content", ["a,b,c\n1,2,3\n", "x,y,sector", " x,y,sector\n1,2,3\n", "x,y,sector \n1,2,3\n",
+                                         "x,y,sector\r\n1,2,3\r\n", "x,y,sector\r1,2,3\r", ""])
+    def test_bad_header_rejected(self, tmp_path, content):
         path = tmp_path / "p.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(FormatError, match="header"):
+        path.write_text(content)
+        with pytest.raises(FormatError, match=r"p.csv:1: expected the header line 'x,y,sector\\n'"):
             read_points(path)
 
     def test_bad_row_rejected(self, tmp_path):
@@ -146,7 +148,7 @@ class TestPointsRoundTrip:
 
     def test_csv_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "p.csv"
-        path.write_text("x,y,sector\n\n0.5,-1.0,2\n  \n3,0.25,1\n")
+        path.write_text("x,y,sector\n\n0.5,-1.0,2\n\n3,0.25,1\n")
         x, y, sector = read_points(path)
         assert x.tolist() == [0.5, 3.0] and y.tolist() == [-1.0, 0.25] and sector.tolist() == [2, 1]
 
@@ -520,14 +522,9 @@ def read_outcome(read, path):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def assert_reads_like_line_parser(path):
-    """``read_points`` gives the line parser's arrays bitwise, or its error."""
-    outcome = read_outcome(read_points, path)
-    assert outcome == read_outcome(fileio._csv_points_by_line, path)
-    return outcome
-
-
-# Characters ``np.loadtxt`` and the line parser read differently.
+# Characters outside the points CSV format, most of which Python's
+# ``float()``, ``int()`` or ``str.splitlines``, or ``np.loadtxt``, would read
+# as digits, spaces or line ends.
 ODD_CHARACTERS = ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\xa0", "\t", "\x00", "_",
                   "\u0663", "\uff13"]
 plain_fields = (
@@ -552,25 +549,31 @@ def near_fast_path_files(draw):
     return text.encode()
 
 
-# Points CSV bodies that ``np.loadtxt`` and the line parser read
-# differently, and whether the line parser accepts them.
-DIVERGENT_CSV_BODIES = [
-    ("1_0,2,3\n", True),
-    ("1,2,1_0\n", True),
-    ("\u0663,2,3\n", True),
-    ("1,2,\uff13\n", True),
+# Points CSV bodies, and whether the format accepts them.
+CSV_BODIES = [
+    ("1_0,2,3\n", False),
+    ("1,2,1_0\n", False),
+    ("\u0663,2,3\n", False),
+    ("1,2,\uff13\n", False),
     ("1,2\x0c,3\n", False),
     ("1,2\x0b,3\n", False),
     ("1,2\x1c,3\n", False),
     ("1,2\x85,3\n", False),
     ("1,2\u2028,3\n", False),
-    ("1,2\xa0,3\n", True),
+    ("1,2\xa0,3\n", False),
+    ("1,2\t,3\n", False),
     ("1,2 ,3\n", True),
-    ("0.5,0.5,1\n   \n0.25,0.5,2\n", True),
+    (" 0.25 , 0.5 , 1 \n", True),
+    ("+1.,.5,+0001\n", True),
+    ("0.5,0.5,1\n\n\n0.25,0.5,2\n", True),
+    ("0.5,0.5,1\n   \n0.25,0.5,2\n", False),
+    ("0.5,0.5,1\r\n0.25,0.5,2\r\n", False),
+    ("0.5,0.5,1\r0.25,0.5,2\r", False),
     ("nan,2,3\n", False),
     ("1,infinity,3\n", False),
     ("1e400,2,3\n", False),
     ("", True),
+    ("\n\n", True),
     ("0.5,-0.0,7\n", True),
     (f"0.5,0.5,{2**63}\n", False),
     (f"0.5,0.5,{2**63 - 1}\n", True),
@@ -580,25 +583,35 @@ DIVERGENT_CSV_BODIES = [
 ]
 
 
-class TestVectorizedReader:
-    """``read_points`` on CSV agrees with the line parser it falls back to."""
+class TestCsvGrammar:
+    """What the one points CSV parser accepts, and the line it names when it
+    refuses."""
 
-    @given(near_fast_path_files() | csv_files)
-    @settings(max_examples=400, deadline=None)
-    def test_same_arrays_or_same_error(self, content):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "points.csv"
-            path.write_bytes(content)
-            assert_reads_like_line_parser(path)
-
-    @pytest.mark.parametrize("body, accepted", DIVERGENT_CSV_BODIES)
-    def test_divergent_inputs(self, tmp_path, body, accepted):
+    @pytest.mark.parametrize("body, accepted", CSV_BODIES)
+    def test_accepted_or_refused(self, tmp_path, body, accepted):
         path = tmp_path / "p.csv"
         path.write_bytes(("x,y,sector\n" + body).encode())
-        outcome = assert_reads_like_line_parser(path)
-        assert isinstance(outcome, list) == accepted
+        outcome = read_outcome(read_points, path)
+        assert isinstance(outcome, list) == accepted, outcome
 
-    @pytest.mark.parametrize("content", ["x,y,sector\n", "x,y,sector", "x,y,sector\n\n"])
+    @given(near_fast_path_files() | csv_files)
+    @settings(max_examples=300, deadline=None)
+    def test_error_names_the_first_refused_line(self, content):
+        """Every body line before the named one is accepted alone after the
+        header, and the named one is refused alone."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, alone = Path(tmp) / "points.csv", Path(tmp) / "alone.csv"
+            path.write_bytes(content)
+            outcome = read_outcome(read_points, path)
+            if isinstance(outcome, list):
+                return
+            line = int(outcome[len(f"{path}:"):].split(":")[0])
+            assert (line == 1) != content.startswith(b"x,y,sector\n")
+            for number, text in enumerate(content.split(b"\n")[1:line], start=2):
+                alone.write_bytes(b"x,y,sector\n" + text)
+                assert isinstance(read_outcome(read_points, alone), list) == (number < line), number
+
+    @pytest.mark.parametrize("content", ["x,y,sector\n", "x,y,sector\n\n"])
     def test_header_only_file_is_quiet(self, tmp_path, capfd, content):
         path = tmp_path / "p.csv"
         path.write_text(content)
@@ -614,9 +627,8 @@ class TestVectorizedReader:
         path.write_text("x,y,sector\n0.5,-0.25,3\n")
         x, y, sector = read_points(path)
         assert (x.tolist(), y.tolist(), sector.tolist()) == ([0.5], [-0.25], [3])
-        assert_reads_like_line_parser(path)
 
-    def test_written_file_skips_the_line_parser(self, tmp_path):
+    def test_written_file_skips_the_strict_parser(self, tmp_path):
         """Files the writer wrote never reach a strict parser, in either
         format, read in one range or in one per CPU."""
         d = spread_deployment(3 * CHUNK + 5, seed=7)
@@ -636,8 +648,13 @@ class TestVectorizedReader:
 
 
 def strict_outcome(path):
-    """What the strict parser of ``path``'s format makes of it."""
-    return read_outcome(fileio._json_points if path.suffix == ".json" else fileio._csv_points_by_line, path)
+    """What ``path`` holds by its format's definition: for JSON, the strict
+    parser's verdict; for CSV, that of a read on one CPU, in one range."""
+    if path.suffix == ".json":
+        return read_outcome(fileio._json_points, path)
+    with pytest.MonkeyPatch.context() as patch:
+        pretend_cpus(patch, 1)
+        return read_outcome(read_points, path)
 
 
 @contextlib.contextmanager
@@ -651,8 +668,9 @@ def tiny_ranges(cpus: int):
 
 
 def assert_ranged_read_is_strict(content: bytes, suffix: str, cpus: int):
-    """``read_points`` in tiny ranges gives the strict parser's arrays
-    bitwise, or its error; returns the worker counts of its pools."""
+    """``read_points`` in tiny ranges gives the arrays of
+    :func:`strict_outcome` bitwise, or its error; returns the worker counts
+    of its pools."""
     with tempfile.TemporaryDirectory() as tmp, tiny_ranges(cpus) as pools:
         path = Path(tmp) / f"points{suffix}"
         path.write_bytes(content)
@@ -729,8 +747,8 @@ EDGE_FILES = [
 
 
 class TestRangedReader:
-    """A points file read in byte ranges, in workers, reads as its format's
-    strict parser reads the whole file."""
+    """A points file read in byte ranges, in workers, reads as the whole
+    file reads in one range, in-process."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @given(content=near_fast_path_csv() | near_fast_path_files() | csv_files)
@@ -744,11 +762,12 @@ class TestRangedReader:
     def test_json_same_arrays_or_same_error(self, cpus, content):
         assert_ranged_read_is_strict(content, ".json", cpus)
 
-    @pytest.mark.parametrize("body", [body for body, _ in DIVERGENT_CSV_BODIES])
-    def test_divergent_csv_inputs_mid_file(self, body):
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("body", [body for body, _ in CSV_BODIES])
+    def test_csv_bodies_mid_file(self, body, cpus):
         rows = "".join(f"{i}.5,-{i}.25,{i}\n" for i in range(1, 8))
-        pools = assert_ranged_read_is_strict(f"x,y,sector\n{rows}{body}{rows}".encode(), ".csv", 2)
-        assert pools == [2]
+        pools = assert_ranged_read_is_strict(f"x,y,sector\n{rows}{body}{rows}".encode(), ".csv", cpus)
+        assert pools == [cpus]
 
     @pytest.mark.parametrize("token", ODD_JSON)
     def test_odd_json_mid_file(self, token):
@@ -759,7 +778,7 @@ class TestRangedReader:
             assert pools == [2]
 
     @pytest.mark.parametrize("content", EDGE_FILES)
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_heads_and_tails(self, cpus, content):
         suffix = ".json" if content.startswith("{") else ".csv"
         assert_ranged_read_is_strict(content.encode(), suffix, cpus)
@@ -779,18 +798,19 @@ class TestRangedReader:
             assert pools == expected_pools, scan
             assert outcome == strict, scan
 
+    @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("fmt, bad_row", [("csv", "0.5,zzz,1"), ("json", "[0.5, 0.5, 2.7]")])
-    def test_bad_row_in_the_last_range(self, tmp_path, fmt, bad_row):
+    def test_bad_row_in_the_last_range(self, tmp_path, fmt, bad_row, cpus):
         d = spread_deployment(400, seed=3)
         path = tmp_path / f"p.{fmt}"
         write_points(path, d, fmt=fmt)
         text = path.read_text()
         last = text.rindex("\n", 0, len(text) - 1) + 1 if fmt == "csv" else text.rindex("[")
         path.write_text(text[:last] + bad_row + ("\n" if fmt == "csv" else "]}\n"))
-        with tiny_ranges(2) as pools:
+        with tiny_ranges(cpus) as pools:
             with pytest.raises(FormatError) as caught:
                 read_points(path)
-        assert pools == [2]
+        assert pools == [cpus]
         assert str(caught.value) == strict_outcome(path)
         if fmt == "csv":
             assert str(caught.value).startswith(f"{path}:401: ")
@@ -806,17 +826,18 @@ class TestRangedReader:
         assert pools == [2]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_file_truncated_after_it_was_cut(self, tmp_path, fmt):
+    def test_file_truncated_after_it_was_cut(self, tmp_path, fmt, cpus):
         d = spread_deployment(400, seed=5)
         path = tmp_path / f"p.{fmt}"
         write_points(path, d, fmt=fmt)
-        with tiny_ranges(2) as pools, pytest.MonkeyPatch.context() as patch:
+        with tiny_ranges(cpus) as pools, pytest.MonkeyPatch.context() as patch:
             patch.setattr(fileio, "_ranges", truncated_after(fileio._ranges))
             outcome = read_outcome(read_points, path)
-        assert pools == [2]
+        assert pools == [cpus]
         assert multiprocessing.active_children() == []
-        # the strict parser's verdict on what is left of the file
+        # the one-range verdict on what is left of the file
         assert outcome == strict_outcome(path)
         if fmt == "json":
             assert outcome.startswith(f"{path}: not valid JSON")
