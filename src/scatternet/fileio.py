@@ -37,9 +37,6 @@ __all__ = [
     "write_report",
 ]
 
-POINTS_HEADER = "x,y,sector"
-
-
 class FormatError(ValueError):
     """A file does not conform to its declared schema."""
 
@@ -65,18 +62,18 @@ def _load_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
-# Points layouts.  Each chunk of rows is formatted once, as ``x,y,sector``
-# rows joined by newlines: floats by ``repr`` (shortest round-trip, what
-# ``json.dumps`` writes for finite floats), tags as integers.  Every layout is
-# derived from that text by ``replacements``, applied in order; a float
-# ``repr`` never holds ",", " ", "[" or a newline, so they touch only the
-# separators.  A file is ``head + sep.join(chunk.format(text)) + tail``.
+# Points layouts: (head, open, field, close, sep, tail).  A file is ``head``,
+# its rows, then ``tail``; a row is ``open``, its fields joined by ``field``,
+# then ``close``; rows are separated by ``sep``.  The writer formats each chunk
+# once, as ``x,y,sector`` rows joined by newlines (floats by ``repr``, what
+# ``json.dumps`` writes for finite floats; tags as integers), then turns ","
+# into ``field`` and newlines into ``close + sep + open``: a float ``repr``
+# holds neither.  :func:`_ranges` cuts files at the same strings.
 _ROW = "{!r},{!r},{}"
 _LAYOUTS = {
-    # layout: (head, chunk, sep, tail, replacements)
-    "csv": (POINTS_HEADER, "\n{}", "", "\n", ()),
-    "json": ('{"columns": ["x", "y", "sector"], "points": [', "[{}]", ", ", "]}\n", ((",", ", "), ("\n", "], ["))),
-    "xy": ("", "{}", "\n", "\n", ((",", " "),)),
+    "csv": ("x,y,sector", "\n", ",", "", "", "\n"),
+    "json": ('{"columns": ["x", "y", "sector"], "points": [', "[", ", ", "]", ", ", "]}\n"),
+    "xy": ("", "", " ", "", "\n", "\n"),
 }
 _ROW_CHUNK = 1 << 14
 
@@ -151,6 +148,10 @@ def _stream_points(deployment: Deployment, targets) -> None:
     nor the CPU count, and memory beyond the point arrays stays bounded by
     the chunks in flight.  The pool lives only for this call.
 
+    Each target lays a chunk out as its ``_LAYOUTS`` entry states, skipping
+    a replace whose strings are equal, and writes it in pieces (``sep``
+    after the first chunk, ``open``, the text, ``close``), never joined.
+
     Workers only turn the arrays they are sent into strings.  They are
     forked before the output files are opened, so none holds a copy of a
     file's buffer, and they are joined before this call returns or raises.
@@ -165,14 +166,13 @@ def _stream_points(deployment: Deployment, targets) -> None:
         for handle, (head, *_) in files:
             handle.write(head)
         for index, rows in enumerate(texts):
-            for handle, (_, chunk, sep, _, replacements) in files:
+            for handle, (_, opening, field, closing, sep, _) in files:
                 text = rows
-                for old, new in replacements:
-                    text = text.replace(old, new)
-                if index:
-                    handle.write(sep)
-                handle.write(chunk.format(text))
-        for handle, (*_, tail, _) in files:
+                for old, new in ((",", field), ("\n", closing + sep + opening)):
+                    if old != new:
+                        text = text.replace(old, new)
+                handle.writelines((sep if index else "", opening, text, closing))
+        for handle, (*_, tail) in files:
             handle.write(tail)
 
 
@@ -239,7 +239,7 @@ def _json_points(path):
 # commas, spaces and newlines.  Anything else (``\r``, tabs, underscores,
 # non-ASCII digits or spaces) is refused before ``np.loadtxt`` sees it.
 _LOADTXT_BYTES = b"0123456789+-.eE, \n"
-_CSV_HEAD = (POINTS_HEADER + "\n").encode()
+_CSV_HEAD = "".join(_LAYOUTS["csv"][:2]).encode()  # head and the first row's open
 _CSV_ROW = np.dtype([("x", "f8"), ("y", "f8"), ("s", "i8")])
 
 
@@ -261,9 +261,9 @@ def _csv_range(path, begin: int, end: int):
     of its lines is.  A range of newlines only holds no rows.
 
     A range that is the whole body, from the end of the header line to the
-    end of the file, ``loadtxt`` reads from the path, which is about a
-    fifth faster; any other range it reads from memory.  With no ``\r``
-    in the bytes, the two reads cannot differ.
+    end of the file or its final newline, ``loadtxt`` reads from the path,
+    about a sixth faster; any other range it reads from memory.  With no
+    ``\r`` in the bytes, the two reads cannot differ.
     """
     data = _read_range(path, begin, end)
     if data is None or data.translate(None, _LOADTXT_BYTES):
@@ -271,7 +271,8 @@ def _csv_range(path, begin: int, end: int):
     if not data.lstrip(b"\n"):
         rows = np.empty(0, dtype=_CSV_ROW)
     else:
-        whole = begin == len(_CSV_HEAD) and end == os.path.getsize(path)
+        size = os.path.getsize(path)
+        whole = begin == len(_CSV_HEAD) and end >= size - 1 and _read_range(path, end, size) in (b"", b"\n")
         source = path if whole else io.BytesIO(data)
         del data
         try:
@@ -338,15 +339,9 @@ def _json_range(path, begin: int, end: int):
     return _json_rows(rows)
 
 
-# Points layouts as read: (head, row separator, tail, range parser, strict
-# parser).  A file that starts with ``head`` and ends with ``tail``, as
-# every file the writer writes does, is cut into byte ranges at row
-# separators, which belong to no range.  The strict parser reads a whole
-# file and words every error.
-_READ_LAYOUTS = {
-    "csv": (_CSV_HEAD, b"\n", b"", _csv_range, _csv_points),
-    "json": (b'{"columns": ["x", "y", "sector"], "points": [[', b"], [", b"]]}\n", _json_range, _json_points),
-}
+# Points layouts as read: (range parser, strict parser).  The strict parser
+# reads a whole file and words every error.
+_READ_LAYOUTS = {"csv": (_csv_range, _csv_points), "json": (_json_range, _json_points)}
 # Bytes per range, at least: a file of fewer than two ranges is read in one,
 # in-process; a larger one is cut into up to one range per CPU.  On a 2-CPU
 # host two ranges beat one from about 4 MB, in both formats.
@@ -357,11 +352,15 @@ _SCAN_BYTES = 1 << 16
 def _ranges(path, layout: str):
     """``(path, begin, end)`` of each byte range of a points file in
     ``layout``, or None if the file does not start and end as the writer's
-    files do.  There is at most one range per CPU, each of at least
-    ``_RANGE_BYTES``.  Each range but the last ends at the first row
-    separator within ``_SCAN_BYTES`` of its share's nominal end; where there
-    is none, the rest of the file is the last range."""
-    head, separator, tail, *_ = _READ_LAYOUTS[layout]
+    files do: with ``head + open`` and ``close + tail`` of its ``_LAYOUTS``
+    entry (so a CSV without its final newline is not cut).  Ranges are cut
+    at row separators, ``close + sep + open``, which belong to no range.
+    There is at most one range per CPU, each of at least ``_RANGE_BYTES``.
+    Each range but the last ends at the first row separator within
+    ``_SCAN_BYTES`` of its share's nominal end; where there is none, the
+    rest of the file is the last range."""
+    head, opening, _, closing, sep, tail = map(str.encode, _LAYOUTS[layout])
+    head, separator, tail = head + opening, closing + sep + opening, closing + tail
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         begin, stop = len(head), size - len(tail)
@@ -400,7 +399,7 @@ def read_points(path):
     """
     path = Path(path)
     layout = "json" if path.suffix == ".json" else "csv"
-    *_, parse_range, parse = _READ_LAYOUTS[layout]
+    parse_range, parse = _READ_LAYOUTS[layout]
     ranges = _ranges(path, layout)
     if ranges is not None:
         with _in_order(parse_range, ranges) as parsed:

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import multiprocessing
 import os
@@ -166,6 +168,14 @@ class TestPlanCommand:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_uint64_exits_2(self, tmp_path, capsys, two_annulus_plan, seed):
+        out = tmp_path / "out"
+        assert run_cli("plan", "--plan", two_annulus_plan, "--seed", seed, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"invalid configuration: seed must fit in an unsigned 64-bit integer, got {seed}\n")
+        assert not out.exists()
+
     def test_missing_plan_file_exits_3(self, tmp_path):
         assert run_cli("plan", "--plan", tmp_path / "nope.json", "--out-dir", tmp_path) == 3
 
@@ -194,20 +204,25 @@ class TestValidateCommand:
         run_cli("plan", "--plan", two_annulus_plan, "--seed", 5, "--out-dir", out)
         assert run_cli("validate", out / "run_000.csv") == 0
 
-    def test_displaced_point_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("displaced", [1, 12])
+    def test_displaced_point_exits_4(self, tmp_path, capsys, displaced):
         out = tmp_path / "out"
         run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 1000,
                 "--seed", 11, "--out-dir", out)
         path = out / "run_000.csv"
         lines = path.read_text().splitlines()
-        parts = lines[8].split(",")  # displace point index 7 far outside its layer
-        lines[8] = f"25.0,25.0,{parts[2]}"
+        tags = {}
+        for index in range(7, 7 + displaced):  # displace points from index 7 on far outside their layers
+            tags[index] = lines[index + 1].split(",")[2]
+            lines[index + 1] = f"25.0,25.0,{tags[index]}"
         path.write_text("\n".join(lines) + "\n")
         code = run_cli("validate", path)
         assert code == 4
         err = capsys.readouterr().err
-        assert "point 7" in err
-        assert f"sector {parts[2]}" in err
+        named = [index for index in tags if f"{path}: point {index} lies outside sector {tags[index]}\n" in err]
+        assert named == list(range(7, 7 + min(displaced, 10)))  # the first 10, then a count of the rest
+        assert err.count(" lies outside sector ") == len(named)
+        assert (f"{path}: ... and 2 more membership violations\n" in err) == (displaced == 12)
 
     def test_wrong_counts_exit_4(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -219,12 +234,40 @@ class TestValidateCommand:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("validate", path) == 4
 
-    def test_missing_metadata_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("missing", ["meta.json", "csv"])
+    def test_missing_metadata_exits_3(self, tmp_path, capsys, missing):
         out = tmp_path / "out"
         run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
                 "--seed", 11, "--out-dir", out)
-        (out / "run_000.meta.json").unlink()
-        assert run_cli("validate", out / "run_000.csv") == 3
+        (out / f"run_000.{missing}").unlink()
+        path = out / "run_000.csv"
+        assert run_cli("validate", path) == 3
+        gone = f"metadata file {out / 'run_000.meta.json'}" if missing == "meta.json" else "points file"
+        assert capsys.readouterr().err == f"{path}: {gone} not found\n"
+        assert not (out / "run_000.report.json").exists()
+
+    def test_report_path_taken_by_a_directory_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("deploy", "--size", 1, "--max-layers", 4, "--nodes", 100,
+                "--seed", 11, "--out-dir", out)
+        (out / "run_000.report.json").mkdir()
+        path = out / "run_000.csv"
+        assert run_cli("validate", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: I/O error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: ")
+        assert "Traceback" not in err
+
+    def test_half_disk_fails_the_angular_test(self, tmp_path, capsys):
+        plan = tmp_path / "disk.json"
+        plan.write_text(json.dumps([{"shape": "disk", "r": 1.0, "n": 2000}]))
+        out = tmp_path / "out"
+        assert run_cli("plan", "--plan", plan, "--seed", 1, "--out-dir", out) == 0
+        path = out / "run_000.csv"
+        d = deployment_from_files(path, out / "run_000.meta.json")
+        write_points(path, dataclasses.replace(d, y=np.abs(d.y)))  # every point in the upper half
+        capsys.readouterr()
+        assert run_cli("validate", path) == 4
+        assert f"{path}: angular_chi2 failed for all points: statistic " in capsys.readouterr().err
 
     def test_siblings_share_the_full_stem(self, tmp_path, capsys):
         out = tmp_path / "out"

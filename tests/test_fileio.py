@@ -646,6 +646,23 @@ class TestCsvGrammar:
                 assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes(), (fmt, cpus)
                 assert sector.tobytes() == d.sector.tobytes(), (fmt, cpus)
 
+    def test_written_csv_in_one_range_is_read_from_its_path(self, tmp_path, monkeypatch):
+        """A writer CSV read in one range ends at the file's final newline:
+        that range is the whole body, which ``loadtxt`` reads from the path,
+        never from a copy of its bytes in memory."""
+        d = spread_deployment(5000, seed=8)
+        path = tmp_path / "p.csv"
+        write_points(path, d)
+        pretend_cpus(monkeypatch, 1)
+        monkeypatch.setattr(fileio.io, "BytesIO", bytes_io_refused)
+        x, y, sector = read_points(path)
+        assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes()
+        assert sector.tobytes() == d.sector.tobytes()
+
+
+def bytes_io_refused(*args):
+    raise AssertionError("a range was parsed from a copy of its bytes")
+
 
 def strict_outcome(path):
     """What ``path`` holds by its format's definition: for JSON, the strict

@@ -32,6 +32,12 @@ def radius_uniform_points(inner, outer, n, stream):
     return r * np.cos(theta), r * np.sin(theta)
 
 
+def upper_half_points(inner, outer, n, stream):
+    """Area-uniform radii, but every angle in [0, pi]: the angular test's case."""
+    x, y = sample_annulus(inner, outer, n, stream)
+    return x, np.abs(y)
+
+
 
 class TestCountPerSector:
     def test_automatic_split_echoed(self):
@@ -330,16 +336,17 @@ class TestEvaluateDeployment:
         assert len(report.areal) == 1
         assert report.all_passed()
 
-    def test_failures_enumerated(self):
-        n = 10_000
-        x, y = radius_uniform_points(0.0, 1.0, n, RandomStream(3, 0))
+    @pytest.mark.parametrize("points, n, failed", [
+        (radius_uniform_points, 10_000, {("radial_ks", 1), ("areal_chi2", 1)}),
+        (upper_half_points, 2_000, {("angular_chi2", None), ("areal_chi2", 1)}),
+    ])
+    def test_failures_enumerated(self, points, n, failed):
+        x, y = points(0.0, 1.0, n, RandomStream(3, 0))
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), n),))
         bad = Deployment(x=x, y=y, sector=np.ones(n, dtype=np.int64), plan=plan)
         report = evaluate_deployment(bad)
         assert not report.all_passed()
-        failed_tests = {name for name, _, _ in report.failures()}
-        assert "radial_ks" in failed_tests
-        assert "areal_chi2" in failed_tests
+        assert failed <= {(name, sector) for name, sector, _ in report.failures()}
 
 
 class TestGofResult:
