@@ -172,9 +172,10 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
     write_report(points_path.with_name(f"{points_path.stem}.report.json"), report)
     for test, sector, result in report.failures():
         where = f"sector {sector}" if sector is not None else "all points"
+        alpha = ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
         _err(
             f"{points_path}: {test} failed for {where}: "
-            f"statistic {result.statistic:.6g} >= threshold {result.threshold:.6g}"
+            f"statistic {result.statistic:.6g}, p-value {result.p_value:.6g} <= alpha {alpha:.6g}"
         )
         code = EXIT_VALIDATION
     if code == EXIT_OK:

@@ -10,14 +10,17 @@ chi-square over ``AREAL_SHELLS x AREAL_WEDGES`` equal cells of the pairs
 rectangle).  The third, when every sector is origin-centered, is an angular
 chi-square over all points.
 
-Every test here is a deterministic function of its input point set.  KS
-critical values come from the asymptotic Kolmogorov distribution (valid for
-the n >= 30 samples we ever feed it); chi-square thresholds come from the
-exact quantile via the regularized incomplete gamma function.  Default
-significance levels are 0.01 for KS and 0.001 for chi-square tests, chosen
-to keep many-seed validation runs quiet; the upstream algorithm makes no
-quantitative distributional claim of its own, so these thresholds are tool
-decisions, not reproduced numbers.
+Every test here is a deterministic function of its input point set, and
+every verdict is its p-value against its significance level: a test passes
+when ``p_value > alpha``.  KS p-values come from the asymptotic Kolmogorov
+distribution, ``P(K > sqrt(n) * D)`` (valid for the n >= 30 samples we ever
+feed it); chi-square p-values are the exact survival function of the
+integer-dof chi-square law.  Both are closed forms in ``math``, so
+validation needs nothing beyond numpy.  Default significance levels are
+0.01 for KS and 0.001 for chi-square tests, chosen to keep many-seed
+validation runs quiet; the upstream algorithm makes no quantitative
+distributional claim of its own, so these levels are tool decisions, not
+reproduced numbers.
 """
 from __future__ import annotations
 
@@ -68,50 +71,74 @@ def _require_points(n: int, needed: int, test: str) -> None:
 @dataclass(frozen=True)
 class GofResult:
     statistic: float
-    threshold: float
-    passed: bool
+    p_value: float
+    passed: bool  # p_value > alpha
     dof: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = {"statistic": self.statistic, "threshold": self.threshold, "passed": self.passed}
+        out = {"statistic": self.statistic, "p_value": self.p_value, "passed": self.passed}
         if self.dof is not None:
             out["dof"] = self.dof
         return out
 
 
-def _chi2_threshold(alpha: float, dof: int) -> float:
-    # Quantile of the chi-square distribution through the regularized
-    # incomplete gamma inverse; accurate far beyond the 1e-8 we need.
-    from scipy import special  # here, not at the top: deploy and plan never load scipy
-    return float(special.chdtri(dof, alpha))
+def _kolmogorov(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution K, the limit law of sqrt(n) * D."""
+    if x <= 0.0:
+        return 1.0
+    if x < 0.8:
+        # the theta-series form of the CDF, sqrt(2 pi) / x * sum of w^((2k-1)^2) over k >= 1,
+        # whose fourth term is below 1e-40 of the first here
+        w = math.exp(-math.pi * math.pi / (8.0 * x * x))
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * (w + w**9 + w**25)
+    # 2 * sum of (-1)^(k-1) q^(k^2) over k >= 1, whose sixth term is below 1e-19 of the first here
+    q = math.exp(-2.0 * x * x)
+    return 2.0 * (q - q**4 + q**9 - q**16 + q**25)
+
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    """P(X > stat) for X chi-square with integer ``dof`` >= 1.
+
+    With y = stat / 2: for odd ``dof``, erfc(sqrt(y)) plus the terms
+    e^-y y^(k+1/2) / Gamma(k + 3/2), k < (dof - 1) / 2; for even ``dof``, the
+    Poisson sum of e^-y y^k / k!, k < dof / 2.  Each term is one ``exp`` of
+    its logarithm, so none overflows however large y is.
+    """
+    if not stat > 0.0:
+        return 1.0
+    y = 0.5 * stat
+    log_y = math.log(y)
+    half = 0.5 * (dof % 2)
+    head = math.erfc(math.sqrt(y)) if half else 0.0
+    return head + sum(math.exp(-y + (k + half) * log_y - math.lgamma(k + half + 1.0)) for k in range(dof // 2))
 
 
 def _pearson_chi2(observed: np.ndarray, expected: np.ndarray, alpha: float) -> GofResult:
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = observed.size - 1
-    threshold = _chi2_threshold(alpha, dof)
-    return GofResult(statistic=stat, threshold=threshold, passed=stat < threshold, dof=dof)
+    p_value = _chi2_sf(dof, stat)
+    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha, dof=dof)
 
 
 def _uniform_ks(u, alpha: float) -> GofResult:
     # KS of ``u`` against the uniform law on [0, 1].
-    from scipy import special
     n = u.size
     cdf = np.sort(u)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / n)))
     stat = max(d_plus, d_minus)
-    threshold = float(special.kolmogi(alpha)) / math.sqrt(n)
-    return GofResult(statistic=stat, threshold=threshold, passed=stat < threshold)
+    p_value = _kolmogorov(math.sqrt(n) * stat)
+    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha)
 
 
 def radial_ks(x, y, inner: float, outer: float, alpha: float = DEFAULT_KS_ALPHA) -> GofResult:
     """One-sample KS test of radii against the annulus area-uniform law.
 
     The reference CDF is F(r) = (r^2 - inner^2) / (outer^2 - inner^2), the
-    ``u1`` of the annulus's ``unit``, tested against the uniform law; the
-    critical value is the asymptotic c(alpha) / sqrt(n), with c(0.01) = 1.628.
+    ``u1`` of the annulus's ``unit``, tested against the uniform law.  The
+    p-value of the statistic D is the asymptotic P(K > sqrt(n) * D), and the
+    test passes when it exceeds ``alpha``: at 0.01, when D < 1.628 / sqrt(n).
     All points are assumed to lie in the annulus (membership is checked
     separately).  ``Annulus`` refuses any ``inner >= outer``.
     """

@@ -102,8 +102,8 @@ def test_criterion_4_areal_uniformity_both_outcomes():
     theta = 2 * math.pi * u[1::2]
     bad = areal_chi2(r * np.cos(theta), r * np.sin(theta), Annulus(0.5, 1.0), alpha=0.001)
     assert not bad.passed, "wrong-law sampler was not rejected"
-    report(f"4: PASS areal 8x8 chi-square: correct {good.statistic:.1f} < {good.threshold:.1f}, "
-           f"wrong {bad.statistic:.1f} rejected")
+    report(f"4: PASS areal 8x8 chi-square: correct {good.statistic:.1f} (p = {good.p_value:.3g}), "
+           f"wrong {bad.statistic:.1f} (p = {bad.p_value:.3g}) rejected")
 
 
 @pytest.mark.parametrize("max_layers,nodes", [(5, 100), (10, 1000)])

@@ -433,11 +433,36 @@ class TestValidateCommand:
         assert run_cli("validate", out / "run_000.json") == 0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # deploy and plan never run a statistical test, so they do not pay for scipy
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # every command runs with scipy unimportable: a None entry in sys.modules makes any
+    # import of it raise; validate's p-values are closed forms in math
     src = Path(cli.__file__).parent.parent
-    code = "import sys, scatternet.cli; sys.exit('scipy' in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    plan = Path(__file__).parent.parent / "plans" / "mixed_demo.json"
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from scatternet.cli import main\n"
+        "out, plan = sys.argv[1], sys.argv[2]\n"
+        "def expect(code, *argv):\n"
+        "    if main(list(argv)) != code: sys.exit(f'{argv} did not exit {code}')\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    expect(0, 'deploy', '--size', '1', '--max-layers', '4', '--nodes', '20000', '--seed', '15',\n"
+        "           '--format', fmt, '--out-dir', f'{out}/{fmt}')\n"
+        "    expect(0, 'validate', f'{out}/{fmt}/run_000.{fmt}')\n"
+        "    report = json.load(open(f'{out}/{fmt}/run_000.report.json'))\n"
+        "    if not (report['radial_ks'] and report['areal_chi2'] and report['angular_chi2']):\n"
+        "        sys.exit(f'{fmt}: a test did not run')\n"
+        "expect(0, 'plan', '--plan', plan, '--seed', '3', '--out-dir', f'{out}/plan')\n"
+        "expect(0, 'validate', f'{out}/plan/run_000.csv')\n"
+        "path = f'{out}/csv/run_000.csv'\n"
+        "with open(path) as f: text = f.read()\n"
+        "with open(path, 'w') as f: f.write(text.replace(',-', ','))  # every y to |y|, the upper half\n"
+        "expect(4, 'validate', path)\n"
+        "if sys.modules['scipy'] is not None or any(m.startswith('scipy.') for m in sys.modules):\n"
+        "    sys.exit('scipy was loaded')\n"
+    )
+    subprocess.run([sys.executable, "-c", code, str(tmp_path), str(plan)],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
 def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessing_unloaded(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy import stats as sps
 
 from helpers import SequenceStream, TopLayerCount, areal_cells, radial_ks_statistic, sample_annulus, sample_sector
@@ -11,6 +13,8 @@ from scatternet.core import Annulus, Circle, Deployment, Disk, NetworkConfig, Re
 from scatternet.planned import DeploymentPlan, deploy_planned
 from scatternet.rng import RandomStream
 from scatternet.stats import (
+    _chi2_sf,
+    _kolmogorov,
     GofResult,
     InsufficientSampleError,
     angular_chi2,
@@ -108,7 +112,9 @@ class TestRadialKs:
     def test_critical_value_matches_asymptotic_constant(self):
         x, y = sample_annulus(0.0, 1.0, 10_000, RandomStream(0, 0))
         result = radial_ks(x, y, 0.0, 1.0, alpha=0.01)
-        assert result.threshold == pytest.approx(1.628 / 100.0, abs=2e-5)
+        assert result.p_value == _kolmogorov(100.0 * result.statistic)
+        # c(0.01) = 1.628: the statistic 1.628 / sqrt(n) sits at p = 0.01
+        assert _kolmogorov(math.sqrt(10_000) * (1.628 / 100.0)) == pytest.approx(0.01, abs=1e-4)
 
     def test_statistic_agrees_with_scipy(self):
         x, y = sample_annulus(0.3, 0.7, 500, RandomStream(5, 0))
@@ -351,7 +357,62 @@ class TestEvaluateDeployment:
 
 class TestGofResult:
     def test_serialization(self):
-        res = GofResult(statistic=0.5, threshold=1.0, passed=True, dof=3)
-        assert res.to_dict() == {"statistic": 0.5, "threshold": 1.0, "passed": True, "dof": 3}
-        res = GofResult(statistic=0.5, threshold=0.1, passed=False)
+        res = GofResult(statistic=0.5, p_value=0.9, passed=True, dof=3)
+        assert res.to_dict() == {"statistic": 0.5, "p_value": 0.9, "passed": True, "dof": 3}
+        res = GofResult(statistic=0.5, p_value=0.001, passed=False)
         assert "dof" not in res.to_dict()
+
+
+# scipy, installed with the test extra, is the oracle of the closed-form p-values.
+CHI2_DOFS = [1, 2, 3, 35, 63]
+TINY = 1e-280  # compared where scipy's value is above this; below it the tails are subnormal or zero
+
+
+def relative_error(mine, reference):
+    return abs(mine - reference) / reference
+
+
+class TestClosedFormPValues:
+    def test_kolmogorov_matches_scipy(self):
+        # dense on both sides of the branch point 0.8 and out to x = 18, where p is about 1e-281
+        grid = np.concatenate([np.linspace(1e-3, 0.8, 4001), np.nextafter(0.8, [0.0, 1.0]),
+                               np.linspace(0.8, 18.0, 20001)])
+        for x in grid:
+            reference = special.kolmogorov(x)
+            if reference > TINY:
+                assert relative_error(_kolmogorov(x), reference) <= 1e-12, x
+
+    def test_kolmogorov_is_one_at_and_near_zero(self):
+        assert _kolmogorov(0.0) == 1.0
+        assert _kolmogorov(-1.0) == 1.0
+        assert _kolmogorov(1e-3) == 1.0
+
+    @pytest.mark.parametrize("dof", CHI2_DOFS)
+    def test_chi2_sf_matches_scipy(self, dof):
+        # out to stat = 1600, past where p drops below 1e-280 for every dof here (1543 for dof 63)
+        grid = np.concatenate([np.linspace(0.0, 5.0, 2001)[1:], np.linspace(5.0, 1600.0, 20001)])
+        for stat in grid:
+            reference = special.chdtrc(dof, stat)
+            if reference > TINY:
+                assert relative_error(_chi2_sf(dof, stat), reference) <= 1e-12, (dof, stat)
+
+    @pytest.mark.parametrize("dof", CHI2_DOFS)
+    def test_chi2_sf_at_zero(self, dof):
+        assert _chi2_sf(dof, 0.0) == 1.0
+
+    @given(n=st.integers(30, 10**7), alpha=st.floats(1e-12, 0.5), offset=st.floats(-0.5, 0.5))
+    @settings(max_examples=500, deadline=None)
+    def test_ks_verdict_is_the_threshold_verdict(self, n, alpha, offset):
+        # p > alpha if and only if D < kolmogi(alpha) / sqrt(n), away from rounding at the threshold
+        threshold = special.kolmogi(alpha) / math.sqrt(n)
+        stat = threshold * (1.0 + offset)
+        if abs(stat - threshold) > 1e-9 * threshold:
+            assert (_kolmogorov(math.sqrt(n) * stat) > alpha) == (stat < threshold)
+
+    @given(dof=st.sampled_from(CHI2_DOFS), alpha=st.floats(1e-12, 0.5), offset=st.floats(-0.5, 0.5))
+    @settings(max_examples=500, deadline=None)
+    def test_chi2_verdict_is_the_threshold_verdict(self, dof, alpha, offset):
+        threshold = special.chdtri(dof, alpha)
+        stat = threshold * (1.0 + offset)
+        if abs(stat - threshold) > 1e-9 * threshold:
+            assert (_chi2_sf(dof, stat) > alpha) == (stat < threshold)
