@@ -6,6 +6,7 @@ identical runs produce byte-identical files on every platform.
 """
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
@@ -62,25 +63,31 @@ def _load_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
-# Points layouts: (head, open, field, close, sep, tail).  A file is ``head``,
-# its rows, then ``tail``; a row is ``open``, its fields joined by ``field``,
-# then ``close``; rows are separated by ``sep``.  The writer formats each chunk
-# once, as ``x,y,sector`` rows joined by newlines (floats by ``repr``, what
-# ``json.dumps`` writes for finite floats; tags as integers), then turns ","
-# into ``field`` and newlines into ``close + sep + open``: a float ``repr``
-# holds neither.  :func:`_ranges` cuts files at the same strings.
-_ROW = "{!r},{!r},{}"
+# Points layouts: (head, open, field, close, sep, tail), as bytes.  A file is
+# ``head``, its rows, then ``tail``; a row is ``open``, its fields joined by
+# ``field``, then ``close``; rows are separated by ``sep``.  The writer formats
+# each chunk once, as bytes of ``x,y,sector`` rows joined by newlines (floats
+# by ``repr``, what ``json.dumps`` writes for finite floats; tags as integers),
+# then turns "," into ``field`` and newlines into ``close + sep + open``: a
+# float ``repr`` holds neither.  :func:`_ranges` cuts files at the same bytes.
 _LAYOUTS = {
-    "csv": ("x,y,sector", "\n", ",", "", "", "\n"),
-    "json": ('{"columns": ["x", "y", "sector"], "points": [', "[", ", ", "]", ", ", "]}\n"),
-    "xy": ("", "", " ", "", "\n", "\n"),
+    "csv": (b"x,y,sector", b"\n", b",", b"", b"", b"\n"),
+    "json": (b'{"columns": ["x", "y", "sector"], "points": [', b"[", b", ", b"]", b", ", b"]}\n"),
+    "xy": (b"", b"", b" ", b"", b"\n", b"\n"),
 }
 _ROW_CHUNK = 1 << 14
 
 
-def _format_rows(x, y, sector) -> str:
-    """The ``x,y,sector`` rows of one chunk of the point arrays, joined by newlines."""
-    return "\n".join(map(_ROW.format, x.tolist(), y.tolist(), sector.tolist()))
+def _format_rows(x, y, sector) -> bytes:
+    """The ``x,y,sector`` rows of one chunk of the point arrays, joined by
+    newlines, from one ``%`` of a bytes template over the interleaved values.
+
+    Bytes ``%r`` is ``ascii(repr(value))``, which for a float is its
+    ``repr``; ``%d`` of an int is ``str(int)``.  A ``Deployment`` holds
+    integer tags only."""
+    values = [None] * (3 * x.size)
+    values[0::3], values[1::3], values[2::3] = x.tolist(), y.tolist(), sector.tolist()
+    return (b"%r,%r,%d\n" * x.size % tuple(values))[:-1]
 
 
 def _cpus() -> int:
@@ -152,7 +159,8 @@ def _stream_points(deployment: Deployment, targets) -> None:
     a replace whose strings are equal, and writes it in pieces (``sep``
     after the first chunk, ``open``, the text, ``close``), never joined.
 
-    Workers only turn the arrays they are sent into strings.  They are
+    Workers only turn the arrays they are sent into bytes; files are opened
+    in binary mode, so the parent only unpickles and writes.  Workers are
     forked before the output files are opened, so none holds a copy of a
     file's buffer, and they are joined before this call returns or raises.
     """
@@ -162,16 +170,16 @@ def _stream_points(deployment: Deployment, targets) -> None:
         for start in range(0, x.size, _ROW_CHUNK)
     ]
     with _in_order(_format_rows, chunks) as texts, ExitStack() as stack:
-        files = [(stack.enter_context(Path(path).open("w")), _LAYOUTS[layout]) for path, layout in targets]
+        files = [(stack.enter_context(Path(path).open("wb")), _LAYOUTS[layout]) for path, layout in targets]
         for handle, (head, *_) in files:
             handle.write(head)
         for index, rows in enumerate(texts):
             for handle, (_, opening, field, closing, sep, _) in files:
                 text = rows
-                for old, new in ((",", field), ("\n", closing + sep + opening)):
+                for old, new in ((b",", field), (b"\n", closing + sep + opening)):
                     if old != new:
                         text = text.replace(old, new)
-                handle.writelines((sep if index else "", opening, text, closing))
+                handle.writelines((sep if index else b"", opening, text, closing))
         for handle, (*_, tail) in files:
             handle.write(tail)
 
@@ -206,6 +214,22 @@ def _json_column(rows, column: int, types: set, dtype):
     return array if np.isfinite(array).all() else None
 
 
+@contextmanager
+def _gc_paused():
+    """The cyclic garbage collector paused for one ``with`` block, then left
+    enabled or disabled as it was found.  Parsing JSON points builds one list
+    per row, whose allocations would set off collections that free nothing;
+    free the rows inside the block, or the first collection after it walks
+    them all."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _json_rows(rows):
     """The three columns of ``rows``, a list of ``[x, y, sector]`` lists, or
     None if it is anything else."""
@@ -223,10 +247,11 @@ def _json_points(path):
 
     This parser defines the format and gives every error message.
     """
-    payload = _load_json(path)
-    if not isinstance(payload, dict) or payload.get("columns") != ["x", "y", "sector"]:
-        raise FormatError(f"{path}: expected \"columns\": [\"x\", \"y\", \"sector\"]")
-    columns = _json_rows(payload.get("points"))
+    with _gc_paused():
+        payload = _load_json(path)
+        if not isinstance(payload, dict) or payload.get("columns") != ["x", "y", "sector"]:
+            raise FormatError(f"{path}: expected \"columns\": [\"x\", \"y\", \"sector\"]")
+        columns = _json_rows(payload.pop("points", None))  # popped: the rows are freed while paused
     if columns is not None:
         return columns
     raise FormatError(
@@ -239,7 +264,7 @@ def _json_points(path):
 # commas, spaces and newlines.  Anything else (``\r``, tabs, underscores,
 # non-ASCII digits or spaces) is refused before ``np.loadtxt`` sees it.
 _LOADTXT_BYTES = b"0123456789+-.eE, \n"
-_CSV_HEAD = "".join(_LAYOUTS["csv"][:2]).encode()  # head and the first row's open
+_CSV_HEAD = b"".join(_LAYOUTS["csv"][:2])  # head and the first row's open
 _CSV_ROW = np.dtype([("x", "f8"), ("y", "f8"), ("s", "i8")])
 
 
@@ -332,11 +357,14 @@ def _json_range(path, begin: int, end: int):
     data = _read_range(path, begin, end)
     if data is None:
         return None
-    try:
-        rows = json.loads("[[" + data.decode("ascii") + "]]")
-    except (ValueError, RecursionError):  # also non-ASCII bytes and too deep nesting
-        return None
-    return _json_rows(rows)
+    with _gc_paused():
+        try:
+            rows = json.loads("[[" + data.decode("ascii") + "]]")
+        except (ValueError, RecursionError):  # also non-ASCII bytes and too deep nesting
+            return None
+        columns = _json_rows(rows)
+        del rows  # freed while paused, or the next collection would walk every row
+    return columns
 
 
 # Points layouts as read: (range parser, strict parser).  The strict parser
@@ -359,7 +387,7 @@ def _ranges(path, layout: str):
     Each range but the last ends at the first row separator within
     ``_SCAN_BYTES`` of its share's nominal end; where there is none, the
     rest of the file is the last range."""
-    head, opening, _, closing, sep, tail = map(str.encode, _LAYOUTS[layout])
+    head, opening, _, closing, sep, tail = _LAYOUTS[layout]
     head, separator, tail = head + opening, closing + sep + opening, closing + tail
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size

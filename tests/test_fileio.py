@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import multiprocessing
@@ -222,6 +223,39 @@ class TestStreamedWriter:
             write_points(path, spread_deployment(3 * CHUNK + 5, seed=0))
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+
+def str_format_rows(xs, ys, tags) -> bytes:
+    """The rows of one chunk as ``str.format`` wrote them before the bytes
+    template: the oracle of ``fileio._format_rows``."""
+    return "\n".join(map("{!r},{!r},{}".format, xs, ys, tags)).encode()
+
+
+def format_rows(xs, ys, tags) -> bytes:
+    return fileio._format_rows(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
+                               np.array(tags, dtype=np.int64))
+
+
+# Signed zero, subnormal and normal limits, the largest floats, and the
+# points where ``repr`` switches between plain and exponent notation:
+# none of them is drawn by ``spread_deployment``.
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-05, 0.0001]
+
+
+class TestRowFormatter:
+    """One chunk's rows from the bytes template equal the ``str.format`` rows,
+    at values and tags that no ``Deployment`` of 1..k tags reaches."""
+
+    @pytest.mark.parametrize("tag", [2**63 - 1, -(2**63)])
+    def test_extremes(self, tag):
+        xs, ys, tags = EXTREME_FLOATS, EXTREME_FLOATS[::-1], [tag] * len(EXTREME_FLOATS)
+        assert format_rows(xs, ys, tags) == str_format_rows(xs, ys, tags)
+
+    @given(st.lists(st.tuples(finite_floats, finite_floats, st.integers(-(2**63), 2**63 - 1)), max_size=40))
+    def test_finite_floats(self, rows):
+        xs, ys, tags = [[row[i] for row in rows] for i in range(3)]
+        assert format_rows(xs, ys, tags) == str_format_rows(xs, ys, tags)
 
 
 def touch_after(path, delay):
@@ -858,6 +892,31 @@ class TestRangedReader:
         assert outcome == strict_outcome(path)
         if fmt == "json":
             assert outcome.startswith(f"{path}: not valid JSON")
+
+
+class TestJsonParsePausesGc:
+    """The JSON parsers pause the cyclic collector and leave it as found."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_stays_as_found(self, tmp_path, enabled):
+        path, bad = tmp_path / "p.json", tmp_path / "bad.json"
+        write_points(path, spread_deployment(10, seed=7), fmt="json")
+        bad.write_text(path.read_text().replace("]]}", ", true]]}"))
+        (_, begin, end), = fileio._ranges(path, "json")
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            outcomes = []
+            for parse in (lambda: fileio._json_range(path, begin, end),  # accepted
+                          lambda: fileio._json_range(path, begin, end + 1),  # one "]" too many: refused
+                          lambda: fileio._json_points(path),
+                          lambda: read_outcome(fileio._json_points, bad)):
+                outcomes.append(parse())
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert outcomes[0] is not None and outcomes[1] is None and outcomes[2] is not None
+        assert outcomes[3].startswith(f"{bad}: expected a \"points\" array")
 
 
 class TestPlotData:
