@@ -20,6 +20,7 @@ from .fileio import (
     deployment_from_files,
     load_plan,
     planned_metadata,
+    read_ahead,
     write_metadata,
     write_plot_data,
     write_points,
@@ -137,6 +138,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _report_path(points_path: Path) -> Path:
+    return points_path.with_name(f"{points_path.stem}.report.json")
+
+
 def _validate_one(points_path: Path, ks_alpha: float) -> int:
     meta_path = points_path.with_name(f"{points_path.stem}.meta.json")
     if not meta_path.exists():
@@ -169,7 +174,7 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
         code = EXIT_VALIDATION
 
     report = evaluate_deployment(deployment, ks_alpha=ks_alpha)
-    write_report(points_path.with_name(f"{points_path.stem}.report.json"), report)
+    write_report(_report_path(points_path), report)
     for test, sector, result in report.failures():
         where = f"sector {sector}" if sector is not None else "all points"
         alpha = ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
@@ -187,13 +192,17 @@ def cmd_validate(args) -> int:
     if not 0 < args.alpha < 1:  # also rejects nan
         _err(f"invalid configuration: alpha must lie strictly between 0 and 1, got {args.alpha}")
         return EXIT_CONFIG
+    paths = [Path(name) for name in args.files]
     codes = []
-    for name in args.files:
-        try:
-            codes.append(_validate_one(Path(name), args.alpha))
-        except OSError as exc:
-            _err(f"{name}: I/O error: {exc}")
-            codes.append(EXIT_IO)
+    # the next files' points are parsed while this one is tested; a file is read at its
+    # turn if an earlier file's report may overwrite it
+    with read_ahead(paths, [_report_path(path) for path in paths]):
+        for name, path in zip(args.files, paths):
+            try:
+                codes.append(_validate_one(path, args.alpha))
+            except OSError as exc:
+                _err(f"{name}: I/O error: {exc}")
+                codes.append(EXIT_IO)
     if EXIT_IO in codes:
         return EXIT_IO
     if EXIT_VALIDATION in codes:

@@ -15,7 +15,7 @@ import os
 import sys
 import warnings
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "FormatError",
     "write_points",
     "read_points",
+    "read_ahead",
     "automatic_metadata",
     "planned_metadata",
     "write_metadata",
@@ -115,9 +116,11 @@ def _in_order(fn, jobs: list):
     an ``Exception``, the pool is terminated at once.
 
     Workers are forked: ``fn`` must call no BLAS and take no lock that the
-    parent holds (the parent's other threads do not exist in them).
+    parent holds (the parent's other threads do not exist in them).  So
+    inside a :func:`read_ahead` block, whose pool's threads run in the
+    parent, jobs run in-process too.
     """
-    workers = min(_cpus(), len(jobs))
+    workers = min(_cpus(), len(jobs)) if _ahead is None else 1
     if workers < 2:
         yield itertools.starmap(fn, jobs)
         return
@@ -410,6 +413,10 @@ def _ranges(path, layout: str):
     return ranges + [(path, start, stop)]
 
 
+def _layout_of(path: Path) -> str:
+    return "json" if path.suffix == ".json" else "csv"
+
+
 def read_points(path):
     """Read a points file (CSV or JSON, judged by suffix) back into arrays.
 
@@ -417,24 +424,115 @@ def read_points(path):
     else raises :class:`FormatError`.  A file laid out as the writer lays
     it out is parsed in byte ranges (see :func:`_ranges`), in worker
     processes if it holds two ranges of ``_RANGE_BYTES`` and the process
-    has more than one CPU (see :func:`_in_order`).  Workers read their own
-    ranges, so in a parallel read no process holds the whole file.  If any
-    range is refused, the strict parser of the format reads the whole
-    file in-process and words the error: :func:`_csv_points` names
+    has more than one CPU (see :func:`_in_order`), or ahead of this call
+    in a :func:`read_ahead` block.  Workers read their own ranges, so in a
+    parallel read no process holds the whole file.  If any range is
+    refused, the strict parser of the format reads the whole file
+    in-process and words the error: :func:`_csv_points` names
     ``path:line``, :func:`_json_points` the path.  The range parsers read
     exactly what the strict parsers read, so the outcome depends on
     neither the CPU count nor the range size.
     """
     path = Path(path)
-    layout = "json" if path.suffix == ".json" else "csv"
+    layout = _layout_of(path)
     parse_range, parse = _READ_LAYOUTS[layout]
-    ranges = _ranges(path, layout)
-    if ranges is not None:
+    parts = _taken_ahead(path)
+    if not parts:  # not read ahead
+        ranges = _ranges(path, layout)
+        if ranges is None:
+            return parse(path)
         with _in_order(parse_range, ranges) as parsed:
             parts = list(parsed)
-        if all(part is not None for part in parts):
-            return tuple(np.concatenate(column) for column in zip(*parts))
+    if all(part is not None for part in parts):
+        return tuple(np.concatenate(column) for column in zip(*parts))
     return parse(path)
+
+
+# The read-ahead block in progress, if any: its entries that no read has
+# taken, as ``(path, range count)`` in order, and the stream of their
+# parsed ranges (see :func:`read_ahead`).  It is the module's, as reads
+# reach :func:`read_points` through ``deployment_from_files(points, meta)``.
+_ahead = None
+
+
+def _file_id(path):
+    stat = os.stat(path)
+    return stat.st_dev, stat.st_ino
+
+
+def _parse_ahead(layout: str, path, begin: int, end: int):
+    """The range parser of ``layout`` on one range, or the exception it
+    raised: its file raises it at its read, and the stream goes on."""
+    try:
+        return _READ_LAYOUTS[layout][0](path, begin, end)
+    except Exception as exc:
+        return exc
+
+
+@contextmanager
+def read_ahead(paths, writes):
+    """Parse the points files ``paths`` ahead of their reads, in order, for
+    one ``with`` block; ``writes[i]`` is a file that the caller may write
+    after it reads ``paths[i]``.
+
+    One :func:`_in_order` stream parses the ranges of every file that
+    :func:`_ranges` cuts into two or more, so one pool serves the block,
+    and parses the next files while the caller works on this one.
+    :func:`read_points` of ``paths[i]`` takes the ranges of the first
+    entry of that path that no read has taken, and drops those of the
+    entries before it, whose files the caller did not read.  A file of
+    one range, one that ``_ranges`` refuses or raises on, and one that is
+    the same file as an earlier entry's ``writes`` are read at their
+    reads, in-process.  With fewer than two paths there is no next file,
+    and nothing is read ahead.
+
+    A range that raises raises at its file's read, and later files are
+    still read.  If the pool cannot start, every file is read at its read.
+    The block is left as :func:`_in_order`'s is, with no entry left.
+    """
+    global _ahead
+    if len(paths) < 2:
+        yield
+        return
+    entries, jobs, written = deque(), [], set()
+    for path, write in zip(map(Path, paths), writes):
+        layout = _layout_of(path)
+        try:
+            ranges = None if _file_id(path) in written else _ranges(path, layout)
+        except (OSError, ValueError):
+            ranges = None
+        ranges = ranges if ranges is not None and len(ranges) > 1 else []
+        entries.append((path, len(ranges)))
+        jobs += [(layout, *cut) for cut in ranges]
+        with suppress(OSError, ValueError):  # a file it creates is none of ``paths``
+            written.add(_file_id(write))
+    with ExitStack() as stack:
+        try:
+            _ahead = entries, stack.enter_context(_in_order(_parse_ahead, jobs))
+        except OSError:  # no pool could start: each file is read at its read
+            pass
+        try:
+            yield
+        finally:
+            _ahead = None
+
+
+def _taken_ahead(path: Path):
+    """The parsed ranges of ``path`` from the read-ahead block, or an empty
+    list if it has none."""
+    if _ahead is None:
+        return []
+    entries, parsed = _ahead
+    index = next((i for i, (entry, _) in enumerate(entries) if entry == path), None)
+    if index is None:
+        return []
+    for _ in range(index):  # entries whose files were not read: their ranges are dropped
+        deque(itertools.islice(parsed, entries.popleft()[1]), maxlen=0)
+    parts = list(itertools.islice(parsed, entries.popleft()[1]))
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return parts
 
 
 def automatic_metadata(deployment: Deployment, run: int) -> dict:

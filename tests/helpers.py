@@ -266,6 +266,15 @@ def read_range_fails(path, begin, end):
     raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
+def read_range_fails_for(failing, read_range):
+    """A ``fileio._read_range`` that fails as :func:`read_range_fails` does
+    for the file ``failing`` only, and reads other files with
+    ``read_range``."""
+    def read(path, begin, end):
+        return (read_range_fails if os.path.samefile(path, failing) else read_range)(path, begin, end)
+    return read
+
+
 def truncated_after(ranges):
     """``ranges`` that cuts 6 bytes off the end of the file once it has cut
     the file into ranges: the last range loses the end of its last tag, and

@@ -2,7 +2,9 @@ import dataclasses
 import errno
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ from helpers import (
     corrupt_metadata,
     pretend_cpus,
     read_range_fails,
+    read_range_fails_for,
     truncated_after,
     with_csv_point,
     with_json_point,
@@ -467,16 +470,21 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessing_unloaded(tmp_path):
     # a run of one chunk formats its rows, and a file of one range is parsed, in the parent,
-    # so neither pays for multiprocessing; nor does locating a bad row of such a file
+    # so neither pays for multiprocessing; nor does a validate of many such files, nor locating
+    # a bad row of such a file
     src = Path(cli.__file__).parent.parent
     code = (
         "import sys, scatternet.cli\n"
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by import scatternet.cli')\n"
-        "argv = ['deploy', '--size', '1', '--max-layers', '5', '--nodes', '100', '--out-dir', sys.argv[1]]\n"
+        "argv = ['deploy', '--size', '1', '--max-layers', '5', '--nodes', '100', '--runs', '2',\n"
+        "        '--out-dir', sys.argv[1]]\n"
         "if scatternet.cli.main(argv) != 0: sys.exit('deploy failed')\n"
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-chunk deploy')\n"
         "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 0: sys.exit('validate failed')\n"
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-range validate')\n"
+        "runs = [sys.argv[1] + '/run_000.csv', sys.argv[1] + '/run_001.csv']\n"
+        "if scatternet.cli.main(['validate', *runs]) != 0: sys.exit('validate of two runs failed')\n"
+        "if 'multiprocessing' in sys.modules: sys.exit('loaded by a validate of two one-range files')\n"
         "with open(sys.argv[1] + '/run_000.csv', 'a') as points: points.write('1_0,0.5,1\\n')\n"
         "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 3: sys.exit('bad row not refused')\n"
         "if 'multiprocessing' in sys.modules: sys.exit('loaded by locating a bad row')\n"
@@ -530,6 +538,121 @@ class TestRangedRead:
         pretend_cpus(monkeypatch, 1)
         assert run_cli("validate", path) == 0
         assert report.read_bytes() == parallel
+
+
+def pool_cannot_start(*args, **kwargs):
+    """A ``multiprocessing.pool.Pool`` that cannot fork its workers."""
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+class TestValidateMany:
+    """``validate`` of many files in one command, whose read-ahead block
+    parses the next files' ranges while it tests this one."""
+
+    # files read ahead, never read and read at their turn, in one command-line order
+    FILES = [
+        "csv/run_000.csv",
+        "nometa/run_000.csv",  # its metadata is missing: its points are never read
+        "nometa/run_000.report.json",  # where the last entry's report goes, but that entry writes none
+        "json/run_000.json",
+        "json/run_000.report.json",  # overwritten by the last entry's report before its turn
+        "bad/run_000.csv",
+        "small/run_000.csv",  # one range
+        "half/run_000.csv",
+        "csv/run_000.csv",
+    ]
+
+    @pytest.fixture
+    def runs(self, tmp_path, monkeypatch):
+        """The points files of ``FILES`` under ``tmp_path / "source"``, and
+        ``tmp_path / "work"``, where they are validated; reads on two CPUs,
+        in ranges of 4 KiB."""
+        source = tmp_path / "source"
+        for fmt in ("csv", "json"):
+            assert run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 4000, "--seed", 1,
+                           "--format", fmt, "--out-dir", source / fmt) == 0
+        assert run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 50, "--seed", 2,
+                       "--out-dir", source / "small") == 0
+        text = (source / "csv" / "run_000.csv").read_text()
+        lines = text.split("\n")
+        bodies = {
+            "nometa": text,
+            "bad": "\n".join(lines[:3000] + ["1_0,0.5,1"] + lines[3000:]),  # line 3001
+            "half": text.replace(",-", ","),  # every y to |y|, the upper half-plane
+        }
+        for name, body in bodies.items():
+            (source / name).mkdir()
+            (source / name / "run_000.csv").write_text(body)
+            if name != "nometa":
+                shutil.copy(source / "csv" / "run_000.meta.json", source / name)
+        for name in ("nometa", "json"):
+            shutil.copy(source / "json" / "run_000.json", source / name / "run_000.report.json")
+            shutil.copy(source / "json" / "run_000.meta.json", source / name / "run_000.report.meta.json")
+        monkeypatch.setattr(fileio, "_RANGE_BYTES", 1 << 12)
+        pretend_cpus(monkeypatch, 2)
+        return source, tmp_path / "work"
+
+    @staticmethod
+    def validate(runs, capsys, *commands):
+        """Exit codes, stdout, stderr and the bytes of every file after the
+        ``validate`` of each of ``commands``, lists of ``FILES`` entries,
+        one after the other on a fresh copy of the source files."""
+        source, work = runs
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(source, work)
+        capsys.readouterr()
+        codes = [run_cli("validate", *(work / name for name in names)) for names in commands]
+        out, err = capsys.readouterr()
+        files = {path: path.read_bytes() for path in sorted(work.rglob("*")) if path.is_file()}
+        return codes, out, err, files
+
+    def test_outcome_is_each_file_alone_and_does_not_depend_on_cpu_count(self, runs, monkeypatch, capsys):
+        pools = pretend_cpus(monkeypatch, 2)
+        together = self.validate(runs, capsys, self.FILES)
+        assert pools == [2]  # one pool for the command
+        assert multiprocessing.active_children() == []
+        codes, out, err, files = self.validate(runs, capsys, *([name] for name in self.FILES))
+        assert codes == [0, 3, 0, 0, 3, 3, 0, 4, 0]
+        assert together == ([3], out, err, files)
+        pretend_cpus(monkeypatch, 1)
+        assert self.validate(runs, capsys, self.FILES) == together
+
+        work = runs[1]
+        assert out.count(": ok (") == 5
+        assert f"{work / self.FILES[1]}: metadata file " in err
+        assert f"{work / self.FILES[4]}: expected \"columns\"" in err
+        assert f"{work / self.FILES[5]}:3001: " in err
+        assert f"{work / self.FILES[7]}: angular_chi2 failed for all points" in err
+
+    def test_pool_that_cannot_start_fails_each_file_it_would_read(self, runs, monkeypatch, capsys):
+        monkeypatch.setattr(multiprocessing.pool, "Pool", pool_cannot_start)
+        together = self.validate(runs, capsys, self.FILES)
+        codes, out, err, files = self.validate(runs, capsys, *([name] for name in self.FILES))
+        assert together == ([3], out, err, files)
+        work = runs[1]
+        assert err.startswith(f"{work / self.FILES[0]}: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+        assert f"{work / self.FILES[6]}: ok (" in out  # one range: no pool
+
+    @pytest.mark.parametrize("failing", ["json/run_000.json", "nometa/run_000.csv"])
+    def test_failing_range_read_fails_its_file_only(self, runs, monkeypatch, capsys, failing):
+        # the file without metadata is never read: its failed ranges are dropped unseen
+        source, work = runs
+        shutil.copytree(source, work)
+        paths = [work / name for name in ("csv/run_000.csv", failing, "half/run_000.csv", "small/run_000.csv")]
+        monkeypatch.setattr(fileio, "_read_range", read_range_fails_for(paths[1], fileio._read_range))
+        pools = pretend_cpus(monkeypatch, 2)
+        assert run_cli("validate", *paths) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith(f"{paths[0]}: ok (") and f"\n{paths[3]}: ok (" in out
+        failure = (f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}" if failing.startswith("json")
+                   else f"metadata file {paths[1].with_name('run_000.meta.json')} not found")
+        assert err.startswith(f"{paths[1]}: {failure}\n")
+        assert f"{paths[2]}: angular_chi2 failed for all points" in err and "Traceback" not in err
+        assert all(path.with_name("run_000.report.json").exists() for path in paths)
+        # the failing file's report path holds the points file put there, not a report
+        assert paths[1].with_name("run_000.report.json").read_bytes() == (source / "json" / "run_000.json").read_bytes()
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

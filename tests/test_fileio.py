@@ -292,6 +292,48 @@ class TestPoolHelper:
         assert [path.exists() for path, _ in jobs] == [True, False, False, False]
 
 
+def same_arrays(a, b) -> bool:
+    return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b, strict=True))
+
+
+class TestReadAhead:
+    """Reads inside a ``read_ahead`` block, on two CPUs in ranges of 4 KiB."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        """Two points CSV files of 4000 points, two ranges each, and their
+        arrays as read outside a block."""
+        paths = [tmp_path / f"p{seed}.csv" for seed in range(2)]
+        for seed, path in enumerate(paths):
+            write_points(path, spread_deployment(4000, seed=seed))
+        monkeypatch.setattr(fileio, "_RANGE_BYTES", 1 << 12)
+        return paths, [read_points(path) for path in paths]
+
+    def test_reads_take_their_own_entries(self, files, monkeypatch):
+        (first, second), arrays = files
+        pools = pretend_cpus(monkeypatch, 2)
+        listed = [first, second, first, second]
+        with fileio.read_ahead(listed, [path.with_suffix(".out") for path in listed]):
+            # the first entry is never read: its ranges are dropped at the read of the second
+            got = [read_points(second), read_points(first), read_points(second)]
+            assert not fileio._ahead[0]
+        assert all(same_arrays(a, b) for a, b in zip(got, [arrays[1], arrays[0], arrays[1]]))
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_leaving_the_block_leaves_no_worker_and_no_entry(self, files, monkeypatch, error):
+        paths, arrays = files
+        pools = pretend_cpus(monkeypatch, 2)
+        with pytest.raises(error):
+            with fileio.read_ahead(paths, [path.with_suffix(".out") for path in paths]):
+                assert same_arrays(read_points(paths[0]), arrays[0])
+                raise error
+        assert fileio._ahead is None
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+
 # Every points layout, by name: each writes into ``directory``; ``.xy`` is
 # written beside the points, here JSON ("csv+xy" pairs it with CSV).
 WRITERS = {
