@@ -138,12 +138,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _report_path(points_path: Path) -> Path:
-    return points_path.with_name(f"{points_path.stem}.report.json")
+def _sibling(points_path: Path, kind: str) -> Path:
+    """The run's ``<stem>.<kind>.json`` file beside its points file: its
+    ``meta`` or its ``report``."""
+    return points_path.with_name(f"{points_path.stem}.{kind}.json")
 
 
 def _validate_one(points_path: Path, ks_alpha: float) -> int:
-    meta_path = points_path.with_name(f"{points_path.stem}.meta.json")
+    meta_path = _sibling(points_path, "meta")
     if not meta_path.exists():
         _err(f"{points_path}: metadata file {meta_path} not found")
         return EXIT_IO
@@ -174,7 +176,7 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
         code = EXIT_VALIDATION
 
     report = evaluate_deployment(deployment, ks_alpha=ks_alpha)
-    write_report(_report_path(points_path), report)
+    write_report(_sibling(points_path, "report"), report)
     for test, sector, result in report.failures():
         where = f"sector {sector}" if sector is not None else "all points"
         alpha = ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
@@ -194,9 +196,11 @@ def cmd_validate(args) -> int:
         return EXIT_CONFIG
     paths = [Path(name) for name in args.files]
     codes = []
-    # the next files' points are parsed while this one is tested; a file is read at its
-    # turn if an earlier file's report may overwrite it
-    with read_ahead(paths, [_report_path(path) for path in paths]):
+    # the next files' points are parsed while this one is tested; a file without metadata
+    # is never read, and one that an earlier file's report may overwrite is read at its turn;
+    # os.path.exists is False where a stat fails, which _validate_one then reports
+    listed = [path for path in paths if os.path.exists(_sibling(path, "meta"))]
+    with read_ahead(listed, [_sibling(path, "report") for path in listed]):
         for name, path in zip(args.files, paths):
             try:
                 codes.append(_validate_one(path, args.alpha))

@@ -106,8 +106,10 @@ def _in_order(fn, jobs: list):
     ``itertools.starmap`` and ``multiprocessing`` is not imported.
     Otherwise a fork pool of one worker per CPU (at most one per job) runs
     the jobs, two per worker in flight, so memory beyond the jobs stays
-    bounded by the results not yet taken.  A job that raises raises where
-    its result is taken.
+    bounded by the results not yet taken.  If that pool cannot start (an
+    ``OSError``, such as no process left to fork), the jobs run
+    in-process, as on one CPU.  A job that raises raises where its result
+    is taken.
 
     Left normally or by an ``Exception``, the pool finishes the jobs it was
     sent and its workers are joined: a worker terminated while it sends a
@@ -116,17 +118,19 @@ def _in_order(fn, jobs: list):
     an ``Exception``, the pool is terminated at once.
 
     Workers are forked: ``fn`` must call no BLAS and take no lock that the
-    parent holds (the parent's other threads do not exist in them).  So
-    inside a :func:`read_ahead` block, whose pool's threads run in the
-    parent, jobs run in-process too.
+    parent holds (the parent's other threads do not exist in them).
     """
-    workers = min(_cpus(), len(jobs)) if _ahead is None else 1
-    if workers < 2:
+    workers = min(_cpus(), len(jobs))
+    pool = None
+    if workers > 1:
+        import multiprocessing  # deferred, so that one-job calls never load it
+
+        with suppress(OSError):
+            pool = multiprocessing.get_context("fork").Pool(workers)
+    if pool is None:
         yield itertools.starmap(fn, jobs)
         return
-    import multiprocessing  # deferred, so that one-job calls never load it
-
-    with multiprocessing.get_context("fork").Pool(workers) as pool:  # its exit terminates the pool
+    with pool:  # its exit terminates the pool
         try:
             yield _taken_in_order(pool, fn, jobs, 2 * workers)
         except Exception:
@@ -289,9 +293,9 @@ def _csv_range(path, begin: int, end: int):
     of its lines is.  A range of newlines only holds no rows.
 
     A range that is the whole body, from the end of the header line to the
-    end of the file or its final newline, ``loadtxt`` reads from the path,
-    about a sixth faster; any other range it reads from memory.  With no
-    ``\r`` in the bytes, the two reads cannot differ.
+    end of the file, ``loadtxt`` reads from the path, about a sixth
+    faster; any other range it reads from memory.  With no ``\r`` in the
+    bytes, the two reads cannot differ.
     """
     data = _read_range(path, begin, end)
     if data is None or data.translate(None, _LOADTXT_BYTES):
@@ -299,8 +303,7 @@ def _csv_range(path, begin: int, end: int):
     if not data.lstrip(b"\n"):
         rows = np.empty(0, dtype=_CSV_ROW)
     else:
-        size = os.path.getsize(path)
-        whole = begin == len(_CSV_HEAD) and end >= size - 1 and _read_range(path, end, size) in (b"", b"\n")
+        whole = begin == len(_CSV_HEAD) and end == os.path.getsize(path)
         source = path if whole else io.BytesIO(data)
         del data
         try:
@@ -373,9 +376,9 @@ def _json_range(path, begin: int, end: int):
 # Points layouts as read: (range parser, strict parser).  The strict parser
 # reads a whole file and words every error.
 _READ_LAYOUTS = {"csv": (_csv_range, _csv_points), "json": (_json_range, _json_points)}
-# Bytes per range, at least: a file of fewer than two ranges is read in one,
-# in-process; a larger one is cut into up to one range per CPU.  On a 2-CPU
-# host two ranges beat one from about 4 MB, in both formats.
+# Bytes per range, at least: a file of fewer than two ranges is read whole by
+# its strict parser; a larger one is cut into up to one range per CPU.  On a
+# 2-CPU host two ranges beat one from about 4 MB, in both formats.
 _RANGE_BYTES = 2 << 20
 _SCAN_BYTES = 1 << 16
 
@@ -421,31 +424,26 @@ def read_points(path):
     """Read a points file (CSV or JSON, judged by suffix) back into arrays.
 
     Both formats hold finite coordinates and 64-bit integer tags; anything
-    else raises :class:`FormatError`.  A file laid out as the writer lays
-    it out is parsed in byte ranges (see :func:`_ranges`), in worker
-    processes if it holds two ranges of ``_RANGE_BYTES`` and the process
-    has more than one CPU (see :func:`_in_order`), or ahead of this call
-    in a :func:`read_ahead` block.  Workers read their own ranges, so in a
-    parallel read no process holds the whole file.  If any range is
-    refused, the strict parser of the format reads the whole file
-    in-process and words the error: :func:`_csv_points` names
+    else raises :class:`FormatError`.  Every read is one of a
+    :func:`read_ahead` block; a read outside one reads as a block of its
+    one file.  A file that the block cut into two or more byte ranges
+    (see :func:`_ranges`) takes its parsed ranges from the block's
+    stream; workers read their own ranges, so in a parallel read no
+    process holds the whole file.  Every other file, and one whose ranges
+    are refused, is read whole, in-process, by the strict parser of its
+    format, which words every error: :func:`_csv_points` names
     ``path:line``, :func:`_json_points` the path.  The range parsers read
     exactly what the strict parsers read, so the outcome depends on
     neither the CPU count nor the range size.
     """
     path = Path(path)
-    layout = _layout_of(path)
-    parse_range, parse = _READ_LAYOUTS[layout]
-    parts = _taken_ahead(path)
-    if not parts:  # not read ahead
-        ranges = _ranges(path, layout)
-        if ranges is None:
-            return parse(path)
-        with _in_order(parse_range, ranges) as parsed:
-            parts = list(parsed)
-    if all(part is not None for part in parts):
+    with ExitStack() as stack:
+        if _ahead is None:
+            stack.enter_context(read_ahead([path], [path]))  # one entry: no later one to overwrite
+        parts = _taken_ahead(path)
+    if parts and all(part is not None for part in parts):
         return tuple(np.concatenate(column) for column in zip(*parts))
-    return parse(path)
+    return _READ_LAYOUTS[_layout_of(path)][1](path)
 
 
 # The read-ahead block in progress, if any: its entries that no read has
@@ -480,20 +478,17 @@ def read_ahead(paths, writes):
     and parses the next files while the caller works on this one.
     :func:`read_points` of ``paths[i]`` takes the ranges of the first
     entry of that path that no read has taken, and drops those of the
-    entries before it, whose files the caller did not read.  A file of
-    one range, one that ``_ranges`` refuses or raises on, and one that is
-    the same file as an earlier entry's ``writes`` are read at their
-    reads, in-process.  With fewer than two paths there is no next file,
-    and nothing is read ahead.
+    entries before it, whose files the caller did not read.  Every other
+    file is read whole at its read, by its strict parser: a file of one
+    range, one that ``_ranges`` refuses or raises on, one that is the
+    same file as an earlier entry's ``writes``, and a path not listed.
 
     A range that raises raises at its file's read, and later files are
-    still read.  If the pool cannot start, every file is read at its read.
-    The block is left as :func:`_in_order`'s is, with no entry left.
+    still read.  On one CPU no file is cut; if the pool cannot start, the
+    stream parses each file's ranges in-process, at its read.  The block
+    is left as :func:`_in_order`'s is, with no entry left.
     """
     global _ahead
-    if len(paths) < 2:
-        yield
-        return
     entries, jobs, written = deque(), [], set()
     for path, write in zip(map(Path, paths), writes):
         layout = _layout_of(path)
@@ -506,11 +501,8 @@ def read_ahead(paths, writes):
         jobs += [(layout, *cut) for cut in ranges]
         with suppress(OSError, ValueError):  # a file it creates is none of ``paths``
             written.add(_file_id(write))
-    with ExitStack() as stack:
-        try:
-            _ahead = entries, stack.enter_context(_in_order(_parse_ahead, jobs))
-        except OSError:  # no pool could start: each file is read at its read
-            pass
+    with _in_order(_parse_ahead, jobs) as parsed:
+        _ahead = entries, parsed
         try:
             yield
         finally:
@@ -518,10 +510,8 @@ def read_ahead(paths, writes):
 
 
 def _taken_ahead(path: Path):
-    """The parsed ranges of ``path`` from the read-ahead block, or an empty
-    list if it has none."""
-    if _ahead is None:
-        return []
+    """The parsed ranges of ``path`` from the read-ahead block in progress,
+    or an empty list if it has none."""
     entries, parsed = _ahead
     index = next((i for i, (entry, _) in enumerate(entries) if entry == path), None)
     if index is None:

@@ -261,6 +261,20 @@ def pretend_cpus(monkeypatch, cpus: int) -> list:
     return pools
 
 
+def pools_cannot_start(monkeypatch) -> list:
+    """Make every pool that the points writer and reader create from then on
+    fail to fork its workers, as at the process limit.  Returns the list to
+    which the worker count of every such attempt is appended."""
+    attempts = []
+
+    def pool_cannot_start(processes=None, *args, **kwargs):
+        attempts.append(processes)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", pool_cannot_start)
+    return attempts
+
+
 def read_range_fails(path, begin, end):
     """A ``fileio._read_range`` whose read fails, as a device error would."""
     raise OSError(errno.EIO, os.strerror(errno.EIO))

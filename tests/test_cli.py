@@ -2,7 +2,6 @@ import dataclasses
 import errno
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
 import shutil
 import subprocess
@@ -19,6 +18,7 @@ from helpers import (
     BAD_SECTORS,
     SequenceStream,
     corrupt_metadata,
+    pools_cannot_start,
     pretend_cpus,
     read_range_fails,
     read_range_fails_for,
@@ -540,11 +540,6 @@ class TestRangedRead:
         assert report.read_bytes() == parallel
 
 
-def pool_cannot_start(*args, **kwargs):
-    """A ``multiprocessing.pool.Pool`` that cannot fork its workers."""
-    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-
 class TestValidateMany:
     """``validate`` of many files in one command, whose read-ahead block
     parses the next files' ranges while it tests this one."""
@@ -552,8 +547,8 @@ class TestValidateMany:
     # files read ahead, never read and read at their turn, in one command-line order
     FILES = [
         "csv/run_000.csv",
-        "nometa/run_000.csv",  # its metadata is missing: its points are never read
-        "nometa/run_000.report.json",  # where the last entry's report goes, but that entry writes none
+        "nometa/run_000.csv",  # its metadata is missing: its points are neither read ahead nor read
+        "nometa/run_000.report.json",  # where the last entry's report would go, but that entry writes none
         "json/run_000.json",
         "json/run_000.report.json",  # overwritten by the last entry's report before its turn
         "bad/run_000.csv",
@@ -624,18 +619,37 @@ class TestValidateMany:
         assert f"{work / self.FILES[5]}:3001: " in err
         assert f"{work / self.FILES[7]}: angular_chi2 failed for all points" in err
 
-    def test_pool_that_cannot_start_fails_each_file_it_would_read(self, runs, monkeypatch, capsys):
-        monkeypatch.setattr(multiprocessing.pool, "Pool", pool_cannot_start)
-        together = self.validate(runs, capsys, self.FILES)
-        codes, out, err, files = self.validate(runs, capsys, *([name] for name in self.FILES))
-        assert together == ([3], out, err, files)
+    def test_pool_that_cannot_start_reads_as_one_cpu_does(self, runs, monkeypatch, capsys):
+        commands = [[self.FILES], [[name] for name in self.FILES]]  # together, then one file at a time
+        pretend_cpus(monkeypatch, 1)
+        one_cpu = [self.validate(runs, capsys, *command) for command in commands]
+        pretend_cpus(monkeypatch, 2)
+        attempts = pools_cannot_start(monkeypatch)
+        assert [self.validate(runs, capsys, *command) for command in commands] == one_cpu
+        assert attempts == [2] * 7  # one per command that cuts a file: all nine, then six alone
+        assert multiprocessing.active_children() == []
+
+    def test_file_without_metadata_is_not_read_ahead(self, runs, monkeypatch, capsys, tmp_path):
+        # workers are forked: each read is logged to a file, not to a list of this process
+        log, read_range = tmp_path / "reads.log", fileio._read_range
+
+        def logged(path, begin, end):
+            with open(log, "a") as handle:
+                handle.write(f"{path}\n")
+            return read_range(path, begin, end)
+
+        monkeypatch.setattr(fileio, "_read_range", logged)
+        pools = pretend_cpus(monkeypatch, 2)
+        assert self.validate(runs, capsys, self.FILES)[0] == [3]
+        reads = set(log.read_text().splitlines())
         work = runs[1]
-        assert err.startswith(f"{work / self.FILES[0]}: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
-        assert f"{work / self.FILES[6]}: ok (" in out  # one range: no pool
+        assert str(work / "csv/run_000.csv") in reads and str(work / "nometa/run_000.csv") not in reads
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failing", ["json/run_000.json", "nometa/run_000.csv"])
     def test_failing_range_read_fails_its_file_only(self, runs, monkeypatch, capsys, failing):
-        # the file without metadata is never read: its failed ranges are dropped unseen
+        # the file without metadata is neither cut nor read: it fails by its missing metadata
         source, work = runs
         shutil.copytree(source, work)
         paths = [work / name for name in ("csv/run_000.csv", failing, "half/run_000.csv", "small/run_000.csv")]
@@ -667,6 +681,22 @@ def test_failed_points_write_exits_3(tmp_path, monkeypatch, capsys):
     assert err.startswith("I/O error: ") and "No space left on device" in err
     assert "Traceback" not in err
     assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_deploy_whose_pool_cannot_start_writes_in_process(tmp_path, monkeypatch, capsys):
+    argv = ["deploy", "--size", 1, "--max-layers", 5, "--nodes", 50000, "--seed", 1, "--plot-data"]
+    pretend_cpus(monkeypatch, 1)
+    assert run_cli(*argv, "--out-dir", tmp_path / "one") == 0
+    pretend_cpus(monkeypatch, 2)
+    attempts = pools_cannot_start(monkeypatch)
+    assert run_cli(*argv, "--out-dir", tmp_path / "refused") == 0
+    assert attempts == [2]
+    assert capsys.readouterr().err == ""
+    written = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "refused").iterdir())
+    for name in written:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "refused" / name).read_bytes(), name
     assert multiprocessing.active_children() == []
 
 

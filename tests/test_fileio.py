@@ -21,6 +21,7 @@ from helpers import (
     BAD_SECTORS,
     ORACLES,
     corrupt_metadata,
+    pools_cannot_start,
     pretend_cpus,
     read_range_fails,
     truncated_after,
@@ -211,6 +212,23 @@ class TestStreamedWriter:
         chunks = -(-size // CHUNK)
         # a pool only with more than one chunk and more than one CPU, never outliving the call
         assert pools == ([min(cpus, chunks)] if cpus > 1 and chunks > 1 else [])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("writer", ["csv+xy", "xy"])
+    def test_pool_that_cannot_start_writes_in_process(self, tmp_path, monkeypatch, writer):
+        """Points CSV, points JSON and ``.xy``, written in-process as on one
+        CPU when the pool cannot fork its workers."""
+        d = spread_deployment(3 * CHUNK + 5, seed=9)
+        for name, cpus in (("one", 1), ("refused", 2)):
+            (tmp_path / name).mkdir()
+            with pytest.MonkeyPatch.context() as patch:
+                pretend_cpus(patch, cpus)
+                attempts = pools_cannot_start(patch)
+                WRITERS[writer](d, tmp_path / name)
+            assert attempts == ([2] if cpus == 2 else [])
+        for path in (tmp_path / "one").iterdir():
+            assert (tmp_path / "refused" / path.name).read_bytes() == path.read_bytes(), path.name
+            assert path.read_bytes() == ORACLES[path.suffix[1:]](d).encode(), path.name
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["at open", "mid-stream"])
@@ -705,8 +723,9 @@ class TestCsvGrammar:
         assert (x.tolist(), y.tolist(), sector.tolist()) == ([0.5], [-0.25], [3])
 
     def test_written_file_skips_the_strict_parser(self, tmp_path):
-        """Files the writer wrote never reach a strict parser, in either
-        format, read in one range or in one per CPU."""
+        """Files the writer wrote, read in one range per CPU, never reach a
+        strict parser, in either format; on one CPU, the strict parser reads
+        them whole, with no pool."""
         d = spread_deployment(3 * CHUNK + 5, seed=7)
         for fmt in ("csv", "json"):
             path = tmp_path / f"p.{fmt}"
@@ -715,8 +734,9 @@ class TestCsvGrammar:
                 with pytest.MonkeyPatch.context() as patch:
                     pools = pretend_cpus(patch, cpus)
                     patch.setattr(fileio, "_RANGE_BYTES", 1 << 16)
-                    # read_points takes its strict parser from this table: a call would raise TypeError
-                    patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
+                    if cpus == 2:
+                        # read_points takes its strict parser from this table: a call would raise TypeError
+                        patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
                     x, y, sector = read_points(path)
                 assert pools == ([2] if cpus == 2 else []), (fmt, cpus)
                 assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes(), (fmt, cpus)
@@ -885,8 +905,9 @@ class TestRangedReader:
         for scan, expected_pools in ((short_scan, []), (fileio._SCAN_BYTES, [cpus])):
             with tiny_ranges(cpus) as pools, pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fileio, "_SCAN_BYTES", scan)
-                # the ranged read alone gives the arrays: a call of the strict parser would raise TypeError
-                patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
+                if expected_pools:
+                    # the ranged read alone gives the arrays: a call of the strict parser would raise TypeError
+                    patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
                 outcome = read_outcome(read_points, path)
             assert pools == expected_pools, scan
             assert outcome == strict, scan
