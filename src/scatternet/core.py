@@ -3,7 +3,10 @@
 Each shape owns its area law in both directions: ``place(u1, u2, xs, ys)``
 maps two uniform variates per point to a point uniform over the shape, and
 ``unit(x, y)`` maps points back to their pair ``(u1, u2)`` in the unit
-square (the probability integral transform the tests read).
+square (the probability integral transform the tests read).  ``unit`` and
+``contains`` are each stated once, as an array function of the points and
+of the shape's parameters, which also takes one parameter value per point:
+so one call applies the shapes of many sectors of a kind at once.
 
 All types are immutable after construction.  Every operation is a pure
 function of its arguments, except that ``place`` writes its points into the
@@ -125,7 +128,45 @@ class LayerSet:
         return len(self.boundaries) + 1
 
 
-class _Circular:
+def _ring_unit(x, y, inner, outer):
+    """The area CDF of each point's radius between ``inner`` and ``outer``,
+    and its angle as a fraction of a turn."""
+    r = np.hypot(x, y)
+    u1 = (r * r - inner * inner) / (outer * outer - inner * inner)
+    return u1, np.mod(np.arctan2(y, x), TWO_PI) / TWO_PI
+
+
+def _ring_contains(x, y, inner_sq, outer_sq):
+    r2 = x**2 + y**2
+    return (r2 >= inner_sq) & (r2 <= outer_sq)
+
+
+def _circle_contains(x, y, radius):
+    return np.isclose(np.hypot(x, y), radius, atol=0.0)  # relative only, at any scale
+
+
+def _rect_unit(x, y, x0, y0, x1, y1):
+    return (y - y0) / (y1 - y0), (x - x0) / (x1 - x0)
+
+
+def _rect_contains(x, y, x0, y0, x1, y1):
+    return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+
+
+class _Shape:
+    """``unit`` and ``contains`` from the shape's rules: ``unit_rule()`` and
+    ``contains_rule()`` each give ``(array function, parameters)``."""
+
+    def unit(self, x, y):
+        function, params = self.unit_rule()
+        return function(x, y, *params)
+
+    def contains(self, x, y):
+        function, params = self.contains_rule()
+        return function(np.asarray(x), np.asarray(y), *params)
+
+
+class _Circular(_Shape):
     """The area law of an origin-centred shape between radii ``inner`` and
     ``outer``: the radius is the inverse of the area CDF, r = sqrt(inner^2 +
     u1 * (outer^2 - inner^2)), and the angle is u2 * 2pi.  ``inner == outer``
@@ -139,16 +180,13 @@ class _Circular:
         np.multiply(radius, np.cos(angle), out=xs)
         np.multiply(radius, np.sin(angle), out=ys)
 
-    def unit(self, x, y):
+    def unit_rule(self):
         """The area CDF of each point's radius, and its angle as a fraction
         of a turn.  Needs a positive area: a :class:`Circle` divides by 0."""
-        r = np.hypot(x, y)
-        u1 = (r * r - self.inner * self.inner) / (self.outer * self.outer - self.inner * self.inner)
-        return u1, np.mod(np.arctan2(y, x), TWO_PI) / TWO_PI
+        return _ring_unit, (self.inner, self.outer)
 
-    def contains(self, x, y):
-        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-        return (r2 >= self.inner**2) & (r2 <= self.outer**2)
+    def contains_rule(self):
+        return _ring_contains, (self.inner**2, self.outer**2)
 
 
 @dataclass(frozen=True)
@@ -186,7 +224,7 @@ class Disk(_Circular):
 
 
 @dataclass(frozen=True)
-class Rect:
+class Rect(_Shape):
     """Axis-aligned rectangle spanning [x0, x1] x [y0, y1]."""
 
     x0: float
@@ -211,15 +249,13 @@ class Rect:
         np.multiply(u2, self.y1 - self.y0, out=ys)
         ys += self.y0
 
-    def unit(self, x, y):
+    def unit_rule(self):
         """Each point's y then x offset as a fraction of the height and
         width: rows first, as a circular shape gives its shells first."""
-        return (y - self.y0) / (self.y1 - self.y0), (x - self.x0) / (self.x1 - self.x0)
+        return _rect_unit, (self.x0, self.y0, self.x1, self.y1)
 
-    def contains(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
+    def contains_rule(self):
+        return _rect_contains, (self.x0, self.y0, self.x1, self.y1)
 
 
 @dataclass(frozen=True)
@@ -244,8 +280,8 @@ class Circle(_Circular):
     def area(self) -> float:
         return 0.0
 
-    def contains(self, x, y):
-        return np.isclose(np.hypot(x, y), self.radius, atol=0.0)  # relative only, at any scale
+    def contains_rule(self):
+        return _circle_contains, (self.radius,)
 
 
 Shape = Union[Annulus, Disk, Rect, Circle]

@@ -6,11 +6,13 @@ identical runs produce byte-identical files on every platform.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -483,6 +485,9 @@ def read_ahead(paths, writes):
     range, one that ``_ranges`` refuses or raises on, one that is the
     same file as an earlier entry's ``writes``, and a path not listed.
 
+    At entry, only a file that one ``os.stat`` shows long enough for two
+    ranges is opened, and only on two or more CPUs.
+
     A range that raises raises at its file's read, and later files are
     still read.  On one CPU no file is cut; if the pool cannot start, the
     stream parses each file's ranges in-process, at its read.  The block
@@ -490,10 +495,16 @@ def read_ahead(paths, writes):
     """
     global _ahead
     entries, jobs, written = deque(), [], set()
+    cpus = _cpus()
     for path, write in zip(map(Path, paths), writes):
         layout = _layout_of(path)
+        head, opening, _, closing, _, tail = _LAYOUTS[layout]
         try:
-            ranges = None if _file_id(path) in written else _ranges(path, layout)
+            stat = os.stat(path)
+            # too small for two ranges of _RANGE_BYTES past the head and before the tail
+            short = stat.st_size < 2 * _RANGE_BYTES + len(head + opening) + len(closing + tail)
+            cut = cpus > 1 and not short and (stat.st_dev, stat.st_ino) not in written
+            ranges = _ranges(path, layout) if cut else None
         except (OSError, ValueError):
             ranges = None
         ranges = ranges if ranges is not None and len(ranges) > 1 else []
@@ -686,8 +697,51 @@ def write_plot_data(rings_path, deployment: Deployment) -> None:
         Path(rings_path).write_text("\n".join(repr(float(r)) for r in radii) + "\n")
 
 
+# Records of a report list encoded per call of json's C encoder, which
+# separates a batch's values by a newline: no encoded value holds one.
+_REPORT_BATCH = 1024
+_VALUES = json.JSONEncoder(separators=(",\n", ": "))
+
+
+@functools.lru_cache(maxsize=16)
+def _record_layout(keys: tuple) -> str:
+    """The ``%`` template of a record with ``keys`` in a report list, as
+    ``json.dumps(..., indent=2)`` lays it out at the report's second level."""
+    return "{" + ",".join("\n      " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n    }"
+
+
+def _report_records(records):
+    """The records of a report list, in pieces of ``_REPORT_BATCH`` records.
+
+    Every record is a flat JSON object with the keys of the first, in its
+    order.  Each batch's values are encoded in one call of the C encoder,
+    as one flat array, and fill one ``%`` template of the batch's records."""
+    keys = tuple(records[0])
+    record = _record_layout(keys)
+    for start in range(0, len(records), _REPORT_BATCH):
+        batch = records[start:start + _REPORT_BATCH]
+        if set(map(len, batch)) != {len(keys)}:
+            raise ValueError(f"report records must share their keys, {list(keys)}")
+        rows = map(operator.itemgetter(*keys), batch)  # a tuple per record, or one value for one key
+        text = _VALUES.encode(list(itertools.chain.from_iterable(rows) if len(keys) > 1 else rows))
+        yield ",\n    " if start else "\n    "
+        yield ",\n    ".join([record] * len(batch)) % tuple(text[1:-1].split(",\n"))
+
+
 def write_report(path, report) -> None:
-    # streamed, so a report with a line per sector is never held as one string
+    """Write the report as ``json.dump(report.to_dict(), indent=2)`` does,
+    and a final newline.  Its lists of records are encoded in batches, so a
+    report with a line per sector is never held as one string."""
+    payload = report.to_dict()
     with Path(path).open("w") as handle:
-        json.dump(report.to_dict(), handle, indent=2)
-        handle.write("\n")
+        for number, (key, value) in enumerate(payload.items()):
+            handle.write(("{\n  " if number == 0 else ",\n  ") + json.dumps(key) + ": ")
+            if isinstance(value, list) and value:
+                handle.write("[")
+                handle.writelines(_report_records(value))
+                handle.write("\n  ]")
+            elif isinstance(value, dict):
+                handle.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            else:  # a number, a boolean, null or an empty list: no layout
+                handle.write(json.dumps(value))
+        handle.write("\n}\n")

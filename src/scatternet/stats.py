@@ -10,6 +10,15 @@ chi-square over ``AREAL_SHELLS x AREAL_WEDGES`` equal cells of the pairs
 rectangle).  The third, when every sector is origin-centered, is an angular
 chi-square over all points.
 
+``check_membership`` and ``evaluate_deployment`` test a run's sectors in
+passes over its points grouped by sector, not one sector at a time: a pass
+takes consecutive sectors of one shape kind, together at most ``_WINDOW``
+points, or one larger sector alone, and applies their shapes' array function
+(see :mod:`scatternet.core`) to all its points at once.  So a run
+costs a fixed number of numpy calls per pass, one in-place sort per sector
+tested by KS (each holds at least ``MIN_KS_POINTS``), and scalar p-value
+arithmetic per sector; the scratch of a pass is bounded by its points.
+
 Every test here is a deterministic function of its input point set, and
 every verdict is its p-value against its significance level: a test passes
 when ``p_value > alpha``.  KS p-values come from the asymptotic Kolmogorov
@@ -113,21 +122,43 @@ def _chi2_sf(dof: int, stat: float) -> float:
     return head + sum(math.exp(-y + (k + half) * log_y - math.lgamma(k + half + 1.0)) for k in range(dof // 2))
 
 
-def _pearson_chi2(observed: np.ndarray, expected: np.ndarray, alpha: float) -> GofResult:
-    stat = float(np.sum((observed - expected) ** 2 / expected))
-    dof = observed.size - 1
+def _pearson_statistics(observed: np.ndarray, expected) -> np.ndarray:
+    """Pearson's statistic of each row of ``observed`` counts against its
+    ``expected`` count per cell."""
+    return np.sum((observed - expected) ** 2 / expected, axis=-1)
+
+
+def _chi2_result(stat: float, dof: int, alpha: float) -> GofResult:
     p_value = _chi2_sf(dof, stat)
     return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha, dof=dof)
+
+
+def _pearson_chi2(observed: np.ndarray, expected: np.ndarray, alpha: float) -> GofResult:
+    return _chi2_result(float(_pearson_statistics(observed, expected)), observed.size - 1, alpha)
+
+
+def _ks_distances(u, sizes) -> list:
+    """The KS distance from the uniform law on [0, 1] of each run of ``u``:
+    ``u`` is consecutive runs of ``sizes`` values, each run sorted and not
+    empty.  The i-th value of a run of n gives the gaps i/n - u and
+    u - (i - 1)/n; a run's distance is the larger of their maxima."""
+    starts = np.cumsum(sizes) - sizes
+    steps = np.arange(1, u.size + 1, dtype=np.float64)
+    n = sizes.astype(np.float64)
+    if sizes.size > 1:
+        steps -= np.repeat(starts, sizes)  # each run's own ranks
+        n = np.repeat(n, sizes)
+    steps /= n
+    d_plus = np.maximum.reduceat(steps - u, starts).tolist()
+    steps -= 1.0 / n
+    d_minus = np.maximum.reduceat(u - steps, starts).tolist()
+    return [max(above, below) for above, below in zip(d_plus, d_minus)]
 
 
 def _uniform_ks(u, alpha: float) -> GofResult:
     # KS of ``u`` against the uniform law on [0, 1].
     n = u.size
-    cdf = np.sort(u)
-    steps = np.arange(1, n + 1, dtype=np.float64) / n
-    d_plus = float(np.max(steps - cdf))
-    d_minus = float(np.max(cdf - (steps - 1.0 / n)))
-    stat = max(d_plus, d_minus)
+    stat = _ks_distances(np.sort(u), np.array([n]))[0]
     p_value = _kolmogorov(math.sqrt(n) * stat)
     return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha)
 
@@ -161,13 +192,18 @@ def angular_chi2(x, y, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
     return _pearson_chi2(observed.astype(np.float64), expected, alpha)
 
 
-def _cells_chi2(u1, u2, alpha: float) -> GofResult:
-    # ``AREAL_SHELLS`` equal slices of u1 by ``AREAL_WEDGES`` of u2, with
-    # values outside [0, 1) clipped to the end slices.
-    cells = AREAL_SHELLS * AREAL_WEDGES
+def _cells(u1, u2) -> np.ndarray:
+    """Each pair's cell of ``AREAL_SHELLS`` equal slices of u1 by
+    ``AREAL_WEDGES`` of u2, with values outside [0, 1) clipped to the end
+    slices."""
     band = np.clip(u1 * AREAL_SHELLS, 0, AREAL_SHELLS - 1).astype(np.int64)
     slot = np.clip(u2 * AREAL_WEDGES, 0, AREAL_WEDGES - 1).astype(np.int64)
-    observed = np.bincount(band * AREAL_WEDGES + slot, minlength=cells).astype(np.float64)
+    return band * AREAL_WEDGES + slot
+
+
+def _cells_chi2(u1, u2, alpha: float) -> GofResult:
+    cells = AREAL_SHELLS * AREAL_WEDGES
+    observed = np.bincount(_cells(u1, u2), minlength=cells).astype(np.float64)
     return _pearson_chi2(observed, np.full(cells, u1.size / cells), alpha)
 
 
@@ -195,18 +231,52 @@ def count_per_sector(deployment: Deployment):
     return list(enumerate(np.bincount(deployment.sector, minlength=k + 1)[1:].tolist(), start=1))
 
 
-def _members(deployment: Deployment):
-    """Indices of each plan sector's points, in point order.
+# Points of one pass of the run-wide tests, at most, unless one sector holds
+# more: it is then a pass of its own.  Per-point copies of the sectors'
+# parameters are made only in passes of two or more sectors, so they never
+# exceed this size, and a large sector's pass uses its parameters as they are.
+_WINDOW = 1 << 15
 
-    One stable argsort of the tags groups every sector at once, in place of
-    one mask over all points per sector.
-    """
+
+def _grouped(deployment: Deployment):
+    """``(order, bounds, sizes)``: the points grouped by sector, sector j
+    (from 0) holding the ``sizes[j]`` points ``bounds[j]`` to ``bounds[j +
+    1]`` of ``order``.  ``order`` is None when the tags never decrease, as
+    in every file the writer makes: the points are then grouped as they
+    are, and each sector is a slice.  Otherwise it is one stable argsort of
+    the tags."""
     tags = deployment.sector
-    order = np.argsort(tags, kind="stable")
-    indices = np.arange(1, len(deployment.plan.sectors) + 1)
-    lo = np.searchsorted(tags[order], indices, side="left")
-    hi = np.searchsorted(tags[order], indices, side="right")
-    return [order[a:b] for a, b in zip(lo, hi)]
+    order = None if np.all(tags[1:] >= tags[:-1]) else np.argsort(tags, kind="stable")
+    grouped = tags if order is None else tags[order]
+    bounds = np.searchsorted(grouped, np.arange(1, len(deployment.plan.sectors) + 2))
+    return order, bounds.tolist(), bounds[1:] - bounds[:-1]
+
+
+def _passes(kinds, bounds):
+    """``(lo, hi)`` of each pass: the sectors lo..hi-1, consecutive and of
+    one kind, of at most ``_WINDOW`` points together, or one larger sector.
+    Sectors of kind None are in no pass."""
+    lo = 0
+    for hi in range(1, len(kinds) + 1):
+        if hi == len(kinds) or kinds[hi] is not kinds[lo] or bounds[hi + 1] - bounds[lo] > _WINDOW:
+            if kinds[lo] is not None:
+                yield lo, hi
+            lo = hi
+
+
+def _apply(deployment: Deployment, grouping, rules, lo: int, hi: int):
+    """The array function of the sectors lo..hi-1, all one kind, applied to
+    their points (views of the arrays when they are grouped as they are):
+    with each sector's own parameters, spread to one value per point when
+    the pass holds two or more sectors."""
+    order, bounds, sizes = grouping
+    taken = slice(bounds[lo], bounds[hi]) if order is None else order[bounds[lo]:bounds[hi]]
+    x, y = deployment.x[taken], deployment.y[taken]
+    function = rules[lo][0]
+    params = [params for _, params in rules[lo:hi]]
+    if hi - lo == 1:
+        return function(x, y, *params[0])
+    return function(x, y, *np.repeat(np.array(params, dtype=np.float64).T, sizes[lo:hi], axis=1))
 
 
 def check_membership(deployment: Deployment) -> np.ndarray:
@@ -217,11 +287,52 @@ def check_membership(deployment: Deployment) -> np.ndarray:
     displaced points remain detectable.  A zero-width layer's points must
     sit at its radius, up to rounding.
     """
-    violations = [
-        members[~np.asarray(sec.shape.contains(deployment.x[members], deployment.y[members]))]
-        for sec, members in zip(deployment.plan.sectors, _members(deployment))
-    ]
-    return np.sort(np.concatenate(violations))  # a plan holds at least one sector
+    grouping = _grouped(deployment)
+    order, bounds, _ = grouping
+    rules = [sec.shape.contains_rule() for sec in deployment.plan.sectors]
+    outside = []
+    for lo, hi in _passes([function for function, _ in rules], bounds):
+        found = np.flatnonzero(~_apply(deployment, grouping, rules, lo, hi)) + bounds[lo]
+        outside.append(found if order is None else order[found])
+    return np.sort(np.concatenate(outside))  # a plan holds at least one sector
+
+
+def _sector_tests(deployment: Deployment, grouping, shapes, areas):
+    """``(distances, statistics)``: the radial KS distance of each circular
+    sector of at least ``MIN_KS_POINTS`` points, and the areal Pearson
+    statistic of each sector of at least the areal minimum, by sector (from
+    0).  Sectors of zero area are not tested.
+
+    A pass counts the cells of all its sectors in one ``bincount`` over
+    sector x cells + cell, then sorts each KS sector's u1 in place and
+    takes every distance from the sorted runs at once."""
+    cells = AREAL_SHELLS * AREAL_WEDGES
+    min_areal = MIN_EXPECTED_PER_BIN * cells
+    _, bounds, sizes = grouping
+    rules = [shape.unit_rule() if area != 0 else (None, ()) for shape, area in zip(shapes, areas)]
+    distances, statistics = {}, {}
+    for lo, hi in _passes([function for function, _ in rules], bounds):
+        begin, counts = bounds[lo], sizes[lo:hi]
+        areal = np.flatnonzero(counts >= min_areal)
+        tested = [] if isinstance(shapes[lo], Rect) else (lo + np.flatnonzero(counts >= MIN_KS_POINTS)).tolist()
+        if not (areal.size or tested):
+            continue
+        u1, u2 = _apply(deployment, grouping, rules, lo, hi)
+        if areal.size:
+            code = _cells(u1, u2)
+            if hi - lo > 1:
+                code += np.repeat(np.arange(0, cells * (hi - lo), cells), counts)
+            observed = np.bincount(code, minlength=cells * (hi - lo)).reshape(hi - lo, cells)
+            pearson = _pearson_statistics(observed[areal].astype(np.float64), counts[areal, None] / cells)
+            statistics.update(zip((lo + areal).tolist(), pearson.tolist()))
+        if not tested:
+            continue
+        for j in tested:
+            u1[bounds[j] - begin:bounds[j + 1] - begin].sort()
+        # every sector's points are a run of u1; those of sectors not tested are unsorted, and dropped
+        runs = dict(zip(np.flatnonzero(counts > 0).tolist(), _ks_distances(u1, counts[counts > 0])))
+        distances.update((j, runs[j - lo]) for j in tested)
+    return distances, statistics
 
 
 @dataclass(frozen=True)
@@ -281,38 +392,39 @@ def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALP
     recorded as skipped rather than failed; the network-wide angular test
     only applies when every sector is origin-centered.
     """
+    shapes = [sec.shape for sec in deployment.plan.sectors]
+    areas = [shape.area() for shape in shapes]
+    grouping = _grouped(deployment)
+    distances, statistics = _sector_tests(deployment, grouping, shapes, areas)
     per_sector = []
     radial = []
     areal = []
     skipped = []
     all_circular = True
-    min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
-    for index, (sec, members) in enumerate(zip(deployment.plan.sectors, _members(deployment)), start=1):
-        shape = sec.shape
-        count = members.size
-        area = shape.area()
+    cells = AREAL_SHELLS * AREAL_WEDGES
+    min_areal = MIN_EXPECTED_PER_BIN * cells
+    counts = grouping[2].tolist()
+    for index, (shape, area, count) in enumerate(zip(shapes, areas, counts), start=1):
         density = count / area if area > 0 else math.inf
         per_sector.append(SectorStat(index=index, count=count, area=area, density=density))
         if area == 0:
             skipped.append((index, "radial_ks", "zero-width layer"))
             skipped.append((index, "areal_chi2", "zero-width layer"))
             continue
-        u1, u2 = shape.unit(deployment.x[members], deployment.y[members])
         if not isinstance(shape, Rect):
             if count >= MIN_KS_POINTS:
-                radial.append((index, _uniform_ks(u1, ks_alpha)))
+                stat = distances[index - 1]
+                p_value = _kolmogorov(math.sqrt(count) * stat)
+                radial.append((index, GofResult(statistic=stat, p_value=p_value, passed=p_value > ks_alpha)))
             else:
                 skipped.append((index, "radial_ks", f"{count} < {MIN_KS_POINTS} points"))
         if count < min_areal:
             skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
         else:
-            areal.append((index, _cells_chi2(u1, u2, DEFAULT_CHI2_ALPHA)))
+            areal.append((index, _chi2_result(statistics[index - 1], cells - 1, DEFAULT_CHI2_ALPHA)))
         if isinstance(shape, Rect):
             all_circular = False
             skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))
-        # Kept alive, the pair would hold the top of the heap, and the
-        # network-wide angular test would grow it (+6 MB of peak RSS at 1e6 points).
-        del u1, u2
 
     angular = None
     if all_circular:

@@ -12,7 +12,21 @@ from scatternet.core import Annulus, NetworkConfig, Rect, validate_config
 from scatternet.planned import OverlapCheck
 from scatternet.rng import RandomStream
 from scatternet.sampling import fill_sector
-from scatternet.stats import AREAL_SHELLS, AREAL_WEDGES
+from scatternet.stats import (
+    ANGULAR_BINS,
+    AREAL_SHELLS,
+    AREAL_WEDGES,
+    DEFAULT_CHI2_ALPHA,
+    DEFAULT_KS_ALPHA,
+    MIN_EXPECTED_PER_BIN,
+    MIN_KS_POINTS,
+    GofResult,
+    SectorStat,
+    StatReport,
+    _chi2_sf,
+    _kolmogorov,
+    angular_chi2,
+)
 
 
 class SequenceStream:
@@ -358,3 +372,84 @@ def radial_ks_statistic(x, y, inner, outer):
     cdf = (r * r - inner * inner) / (outer * outer - inner * inner)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))
+
+
+# The per-sector membership check and tests that the run-wide passes
+# replaced: the oracle for their violation array and report.
+def _members(deployment):
+    """Indices of each plan sector's points, in point order."""
+    tags = deployment.sector
+    order = np.argsort(tags, kind="stable")
+    indices = np.arange(1, len(deployment.plan.sectors) + 1)
+    lo = np.searchsorted(tags[order], indices, side="left")
+    hi = np.searchsorted(tags[order], indices, side="right")
+    return [order[a:b] for a, b in zip(lo, hi)]
+
+
+def membership_per_sector(deployment):
+    violations = [
+        members[~np.asarray(sec.shape.contains(deployment.x[members], deployment.y[members]))]
+        for sec, members in zip(deployment.plan.sectors, _members(deployment))
+    ]
+    return np.sort(np.concatenate(violations))
+
+
+def _uniform_ks(u, alpha):
+    n = u.size
+    cdf = np.sort(u)
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    d_plus = float(np.max(steps - cdf))
+    d_minus = float(np.max(cdf - (steps - 1.0 / n)))
+    stat = max(d_plus, d_minus)
+    p_value = _kolmogorov(math.sqrt(n) * stat)
+    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha)
+
+
+def _cells_chi2(u1, u2, alpha):
+    cells = AREAL_SHELLS * AREAL_WEDGES
+    band = np.clip(u1 * AREAL_SHELLS, 0, AREAL_SHELLS - 1).astype(np.int64)
+    slot = np.clip(u2 * AREAL_WEDGES, 0, AREAL_WEDGES - 1).astype(np.int64)
+    observed = np.bincount(band * AREAL_WEDGES + slot, minlength=cells).astype(np.float64)
+    expected = np.full(cells, u1.size / cells)
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    p_value = _chi2_sf(cells - 1, stat)
+    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha, dof=cells - 1)
+
+
+def evaluate_per_sector(deployment, ks_alpha=DEFAULT_KS_ALPHA):
+    per_sector, radial, areal, skipped = [], [], [], []
+    all_circular = True
+    min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
+    for index, (sec, members) in enumerate(zip(deployment.plan.sectors, _members(deployment)), start=1):
+        shape = sec.shape
+        count = members.size
+        area = shape.area()
+        density = count / area if area > 0 else math.inf
+        per_sector.append(SectorStat(index=index, count=count, area=area, density=density))
+        if area == 0:
+            skipped.append((index, "radial_ks", "zero-width layer"))
+            skipped.append((index, "areal_chi2", "zero-width layer"))
+            continue
+        u1, u2 = shape.unit(deployment.x[members], deployment.y[members])
+        if not isinstance(shape, Rect):
+            if count >= MIN_KS_POINTS:
+                radial.append((index, _uniform_ks(u1, ks_alpha)))
+            else:
+                skipped.append((index, "radial_ks", f"{count} < {MIN_KS_POINTS} points"))
+        if count < min_areal:
+            skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
+        else:
+            areal.append((index, _cells_chi2(u1, u2, DEFAULT_CHI2_ALPHA)))
+        if isinstance(shape, Rect):
+            all_circular = False
+            skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))
+    angular = None
+    if all_circular:
+        if len(deployment) >= MIN_EXPECTED_PER_BIN * ANGULAR_BINS:
+            angular = angular_chi2(deployment.x, deployment.y)
+        else:
+            skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
+    else:
+        skipped.append((None, "angular_chi2", "plan contains non-circular sectors"))
+    return StatReport(per_sector=tuple(per_sector), radial=tuple(radial), areal=tuple(areal), angular=angular,
+                      ks_alpha=ks_alpha, skipped=tuple(skipped))

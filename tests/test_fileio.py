@@ -30,7 +30,7 @@ from helpers import (
 )
 from scatternet import fileio
 from scatternet.automatic import deploy_automatic
-from scatternet.core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector
+from scatternet.core import Annulus, Circle, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.fileio import (
     FormatError,
     automatic_metadata,
@@ -46,7 +46,7 @@ from scatternet.fileio import (
 )
 from scatternet.planned import DeploymentPlan, deploy_planned
 from scatternet.rng import RandomStream
-from scatternet.stats import evaluate_deployment
+from scatternet.stats import GofResult, SectorStat, StatReport, evaluate_deployment
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -338,6 +338,21 @@ class TestReadAhead:
         assert all(same_arrays(a, b) for a, b in zip(got, [arrays[1], arrays[0], arrays[1]]))
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, margin, opened", [(2, 0, True), (2, 1, False), (1, 0, False)])
+    def test_only_a_file_long_enough_for_two_ranges_is_cut_at_entry(self, files, monkeypatch, cpus, margin, opened):
+        # a file one byte short of two ranges past its head and before its tail would be one range
+        (path, _), (arrays, _) = files
+        pools = pretend_cpus(monkeypatch, cpus)
+        head, tail = len(b"x,y,sector\n"), len(b"\n")
+        monkeypatch.setattr(fileio, "_RANGE_BYTES", (path.stat().st_size - head - tail) // 2 + margin)
+        cut = []
+        ranges = fileio._ranges
+        monkeypatch.setattr(fileio, "_ranges", lambda *args: cut.append(args) or ranges(*args))
+        with fileio.read_ahead([path], [path.with_suffix(".out")]):
+            assert same_arrays(read_points(path), arrays)
+        assert cut == ([(path, "csv")] if opened else [])
+        assert pools == ([2] if opened else [])
 
     @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
     def test_leaving_the_block_leaves_no_worker_and_no_entry(self, files, monkeypatch, error):
@@ -1024,7 +1039,33 @@ class TestReport:
 
     def test_streamed_report_is_the_one_shot_text(self, tmp_path):
         plan = DeploymentPlan(sectors=(Sector(Disk(1.0), 400), Sector(Annulus(1.0, 2.0), 20)))
-        report = evaluate_deployment(deploy_planned(plan, RandomStream(4, 0)))
+        reports = {
+            "disk and annulus": evaluate_deployment(deploy_planned(plan, RandomStream(4, 0))),
+            # radial, areal and angular tests all run, so nothing is skipped
+            "none skipped": evaluate_deployment(
+                deploy_planned(DeploymentPlan(sectors=(Sector(Disk(1.0), 20_000),)), RandomStream(4, 0))),
+            # no test runs: angular_chi2 is null, radial_ks and areal_chi2 are empty
+            "none tested": evaluate_deployment(
+                deploy_planned(DeploymentPlan(sectors=(Sector(Rect(0.0, 0.0, 1.0, 1.0), 20),)), RandomStream(4, 0))),
+            "Infinity density": evaluate_deployment(deploy_planned(
+                DeploymentPlan(sectors=(Sector(Disk(1.0), 400), Sector(Circle(1.0), 30))), RandomStream(4, 0))),
+            # more records per list than one batch of the C encoder holds
+            "10,000 sectors": StatReport(
+                per_sector=tuple(SectorStat(i, 100, 0.1 * i, 1000.0 / i) for i in range(1, 10_001)),
+                radial=tuple((i, GofResult(1.0 / i, 0.5, True)) for i in range(1, 10_001)),
+                areal=tuple((i, GofResult(float(i), 1e-300, False, dof=63)) for i in range(1, 3_001)),
+                angular=GofResult(30.0, 0.75, True, dof=35),
+                ks_alpha=0.01,
+                skipped=tuple((i, "areal_chi2", f"{i} < 320 points") for i in range(3_001, 10_001)),
+            ),
+        }
+        assert len(reports["10,000 sectors"].per_sector) > 2 * fileio._REPORT_BATCH
         path = tmp_path / "run.report.json"
-        write_report(path, report)
-        assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
+        for name, report in reports.items():
+            write_report(path, report)
+            assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n", name
+        payloads = {name: report.to_dict() for name, report in reports.items()}
+        assert payloads["none skipped"]["skipped"] == []
+        assert payloads["none tested"]["angular_chi2"] is None
+        assert payloads["none tested"]["radial_ks"] == payloads["none tested"]["areal_chi2"] == []
+        assert payloads["Infinity density"]["per_sector"][1]["density"] == math.inf

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +10,20 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy import stats as sps
 
-from helpers import SequenceStream, TopLayerCount, areal_cells, radial_ks_statistic, sample_annulus, sample_sector
+from helpers import (
+    SequenceStream,
+    TopLayerCount,
+    areal_cells,
+    evaluate_per_sector,
+    membership_per_sector,
+    radial_ks_statistic,
+    sample_annulus,
+    sample_sector,
+)
+from scatternet import stats
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Circle, Deployment, Disk, NetworkConfig, Rect, Sector
+from scatternet.fileio import write_report
 from scatternet.planned import DeploymentPlan, deploy_planned
 from scatternet.rng import RandomStream
 from scatternet.stats import (
@@ -312,6 +326,72 @@ class TestMembership:
         y[3] = -2.0
         moved = Deployment(x=d.x, y=y, sector=d.sector, plan=plan)
         assert check_membership(moved).tolist() == [3]
+
+
+# Sector sizes about the test minimums: none, under 30 (no KS), under 320 (no
+# areal test), and enough for both.
+SECTOR_SIZES = [0, 1, 29, 30, 31, 319, 320, 450]
+COORDINATES = st.floats(-5.0, 5.0)
+LENGTHS = st.floats(1e-3, 3.0)
+
+
+@st.composite
+def sector_shapes(draw):
+    kind = draw(st.sampled_from(["disk", "annulus", "circle", "rect"]))
+    if kind == "disk":
+        return Disk(draw(LENGTHS))
+    if kind == "annulus":
+        inner = draw(st.floats(0.0, 5.0))
+        return Annulus(inner, inner + draw(LENGTHS))
+    if kind == "circle":  # a zero-width layer
+        return Circle(draw(LENGTHS))
+    x0, y0 = draw(COORDINATES), draw(COORDINATES)
+    return Rect(x0, y0, x0 + draw(LENGTHS), y0 + draw(LENGTHS))
+
+
+@st.composite
+def sector_runs(draw):
+    """A deployment whose sectors hold any of ``SECTOR_SIZES`` points (not
+    their quotas), with some points moved off their sector, its rows
+    shuffled or not."""
+    shapes = draw(st.lists(sector_shapes(), min_size=1, max_size=8))
+    sizes = draw(st.lists(st.sampled_from(SECTOR_SIZES), min_size=len(shapes), max_size=len(shapes)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    plan = DeploymentPlan(sectors=tuple(Sector(shape, max(1, n)) for shape, n in zip(shapes, sizes)))
+    points = [sample_sector(shape, n, RandomStream(seed, index)) for index, (shape, n) in enumerate(zip(shapes, sizes))]
+    x = np.concatenate([px for px, _ in points])
+    y = np.concatenate([py for _, py in points])
+    tags = np.repeat(np.arange(1, len(shapes) + 1), sizes)
+    rng = np.random.default_rng(seed)
+    if x.size:
+        moved = rng.integers(0, x.size, size=draw(st.integers(0, 3)))
+        x[moved] += draw(st.sampled_from([1e-9, 1e-3, 0.5, 10.0]))
+    if draw(st.booleans()):
+        order = rng.permutation(x.size)
+        x, y, tags = x[order], y[order], tags[order]
+    return Deployment(x=x, y=y, sector=tags, plan=plan)
+
+
+class TestRunWidePasses:
+    """The passes over sectors grouped as slices or by argsort give the
+    violations and report bytes of the per-sector oracle, at the default
+    pass size and at passes of one point (every sector alone) or 64."""
+
+    @given(deployment=sector_runs(), window=st.sampled_from([stats._WINDOW, 1, 64]))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_same_violations_and_report_bytes_as_per_sector(self, deployment, window):
+        with mock.patch.object(stats, "_WINDOW", window):
+            outside = check_membership(deployment)
+            report = evaluate_deployment(deployment, ks_alpha=0.05)
+        expected = membership_per_sector(deployment)
+        assert outside.dtype == expected.dtype
+        np.testing.assert_array_equal(outside, expected)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp, "ours.json"), Path(tmp, "oracle.json")
+            write_report(ours, report)
+            write_report(oracle, evaluate_per_sector(deployment, ks_alpha=0.05))
+            assert ours.read_bytes() == oracle.read_bytes()
 
 
 class TestEvaluateDeployment:
