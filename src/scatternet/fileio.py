@@ -12,7 +12,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 import warnings
@@ -79,15 +78,26 @@ _LAYOUTS = {
     "xy": (b"", b"", b" ", b"", b"\n", b"\n"),
 }
 _ROW_CHUNK = 1 << 14
+# Rows from which a chunk is formatted by the numpy kernel: below it the
+# bytes template's lower fixed cost wins.  On a 2-vCPU VM the two broke even
+# between 200 and 400 rows; at 100 rows the kernel took 2-4 times as long.
+_KERNEL_ROWS = 400
 
 
 def _format_rows(x, y, sector) -> bytes:
     """The ``x,y,sector`` rows of one chunk of the point arrays, joined by
-    newlines, from one ``%`` of a bytes template over the interleaved values.
+    newlines: the bytes of ``b"%r,%r,%d\\n" % row`` for each row.
 
     Bytes ``%r`` is ``ascii(repr(value))``, which for a float is its
     ``repr``; ``%d`` of an int is ``str(int)``.  A ``Deployment`` holds
-    integer tags only."""
+    integer tags only.  Float64 coordinates of ``_KERNEL_ROWS`` rows or
+    more are formatted by :mod:`scatternet._rowtext`, which computes the
+    same bytes in numpy arrays; a smaller chunk, or coordinates of another
+    dtype, by one ``%`` of the template over the interleaved values."""
+    if x.size >= _KERNEL_ROWS and x.dtype == y.dtype == np.float64:
+        from . import _rowtext  # deferred, so that importing the CLI does not load it
+
+        return _rowtext.format_rows(x, y, sector)
     values = [None] * (3 * x.size)
     values[0::3], values[1::3], values[2::3] = x.tolist(), y.tolist(), sector.tolist()
     return (b"%r,%r,%d\n" * x.size % tuple(values))[:-1]
@@ -174,6 +184,10 @@ def _stream_points(deployment: Deployment, targets) -> None:
     file's buffer, and they are joined before this call returns or raises.
     """
     x, y, sector = deployment.x, deployment.y, deployment.sector
+    if x.size >= _KERNEL_ROWS:
+        from . import _rowtext
+
+        _rowtext.tables()  # built once, before the workers fork, so that they share them
     chunks = [
         (x[start:start + _ROW_CHUNK], y[start:start + _ROW_CHUNK], sector[start:start + _ROW_CHUNK])
         for start in range(0, x.size, _ROW_CHUNK)
@@ -710,38 +724,40 @@ def _record_layout(keys: tuple) -> str:
     return "{" + ",".join("\n      " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n    }"
 
 
-def _report_records(records):
-    """The records of a report list, in pieces of ``_REPORT_BATCH`` records.
+def _report_list(keys: tuple, rows):
+    """A report list of records, from one tuple of values per record, in
+    pieces of up to ``_REPORT_BATCH`` records.
 
-    Every record is a flat JSON object with the keys of the first, in its
-    order.  Each batch's values are encoded in one call of the C encoder,
+    Every record has as many values as the first, named by as many of
+    ``keys``.  Each batch's values are encoded in one call of the C encoder,
     as one flat array, and fill one ``%`` template of the batch's records."""
-    keys = tuple(records[0])
-    record = _record_layout(keys)
-    for start in range(0, len(records), _REPORT_BATCH):
-        batch = records[start:start + _REPORT_BATCH]
-        if set(map(len, batch)) != {len(keys)}:
-            raise ValueError(f"report records must share their keys, {list(keys)}")
-        rows = map(operator.itemgetter(*keys), batch)  # a tuple per record, or one value for one key
-        text = _VALUES.encode(list(itertools.chain.from_iterable(rows) if len(keys) > 1 else rows))
-        yield ",\n    " if start else "\n    "
+    if not rows:
+        yield "[]"
+        return
+    width = len(rows[0])
+    record = _record_layout(keys[:width])
+    for start in range(0, len(rows), _REPORT_BATCH):
+        batch = rows[start:start + _REPORT_BATCH]
+        if set(map(len, batch)) != {width}:
+            raise ValueError(f"report records must share their keys, {list(keys[:width])}")
+        text = _VALUES.encode(list(itertools.chain.from_iterable(batch)))
+        yield ",\n    " if start else "[\n    "
         yield ",\n    ".join([record] * len(batch)) % tuple(text[1:-1].split(",\n"))
+    yield "\n  ]"
 
 
 def write_report(path, report) -> None:
     """Write the report as ``json.dump(report.to_dict(), indent=2)`` does,
-    and a final newline.  Its lists of records are encoded in batches, so a
-    report with a line per sector is never held as one string."""
-    payload = report.to_dict()
+    and a final newline.  Its lists of records are encoded in batches from
+    the report's tuples, so a report with a line per sector is never held
+    as one string, nor as one dict per record."""
     with Path(path).open("w") as handle:
-        for number, (key, value) in enumerate(payload.items()):
+        for number, (key, value) in enumerate(report.sections()):
             handle.write(("{\n  " if number == 0 else ",\n  ") + json.dumps(key) + ": ")
-            if isinstance(value, list) and value:
-                handle.write("[")
-                handle.writelines(_report_records(value))
-                handle.write("\n  ]")
+            if isinstance(value, tuple):  # a list of records, as (keys, rows)
+                handle.writelines(_report_list(*value))
             elif isinstance(value, dict):
                 handle.write(json.dumps(value, indent=2).replace("\n", "\n  "))
-            else:  # a number, a boolean, null or an empty list: no layout
+            else:  # a number, a boolean or null: no layout
                 handle.write(json.dumps(value))
         handle.write("\n}\n")

@@ -77,6 +77,10 @@ def _require_points(n: int, needed: int, test: str) -> None:
         raise InsufficientSampleError(f"{test} needs at least {needed} points, got {n}")
 
 
+# Keys of a goodness-of-fit result, in the order a report writes them
+_GOF_KEYS = ("statistic", "p_value", "passed", "dof")
+
+
 @dataclass(frozen=True)
 class GofResult:
     statistic: float
@@ -84,11 +88,12 @@ class GofResult:
     passed: bool  # p_value > alpha
     dof: Optional[int] = None
 
+    def values(self) -> tuple:
+        """The values of the result's keys, in their order; ``dof`` only if set."""
+        return (self.statistic, self.p_value, self.passed) + (() if self.dof is None else (self.dof,))
+
     def to_dict(self) -> dict:
-        out = {"statistic": self.statistic, "p_value": self.p_value, "passed": self.passed}
-        if self.dof is not None:
-            out["dof"] = self.dof
-        return out
+        return dict(zip(_GOF_KEYS, self.values()))
 
 
 def _kolmogorov(x: float) -> float:
@@ -342,9 +347,6 @@ class SectorStat:
     area: float
     density: float
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "count": self.count, "area": self.area, "density": self.density}
-
 
 @dataclass(frozen=True)
 class StatReport:
@@ -367,19 +369,29 @@ class StatReport:
             out.append(("angular_chi2", None, self.angular))
         return out
 
+    def sections(self) -> tuple:
+        """The report's ``(key, value)`` pairs, in the order they are written.
+
+        A list of records is given as ``(keys, rows)``: one tuple of values
+        per record, whose keys are the first ``len(row)`` of ``keys``.
+        :meth:`to_dict` and :func:`scatternet.fileio.write_report` both
+        lay the report out from these."""
+        gof = ("sector", *_GOF_KEYS)
+        return (
+            ("ks_alpha", self.ks_alpha),
+            ("chi2_alpha", DEFAULT_CHI2_ALPHA),
+            ("per_sector", (("index", "count", "area", "density"),
+                            [(s.index, s.count, s.area, s.density) for s in self.per_sector])),
+            ("radial_ks", (gof, [(idx, *res.values()) for idx, res in self.radial])),
+            ("areal_chi2", (gof, [(idx, *res.values()) for idx, res in self.areal])),
+            ("angular_chi2", self.angular.to_dict() if self.angular is not None else None),
+            ("skipped", (("sector", "test", "reason"), self.skipped)),
+            ("all_passed", self.all_passed()),
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "ks_alpha": self.ks_alpha,
-            "chi2_alpha": DEFAULT_CHI2_ALPHA,
-            "per_sector": [s.to_dict() for s in self.per_sector],
-            "radial_ks": [{"sector": idx, **res.to_dict()} for idx, res in self.radial],
-            "areal_chi2": [{"sector": idx, **res.to_dict()} for idx, res in self.areal],
-            "angular_chi2": self.angular.to_dict() if self.angular is not None else None,
-            "skipped": [
-                {"sector": idx, "test": test, "reason": reason} for idx, test, reason in self.skipped
-            ],
-            "all_passed": self.all_passed(),
-        }
+        return {key: [dict(zip(value[0], row)) for row in value[1]] if isinstance(value, tuple) else value
+                for key, value in self.sections()}
 
 
 def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALPHA) -> StatReport:

@@ -468,6 +468,30 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                    env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
+def test_cli_import_and_small_deploy_leave_the_row_kernel_unloaded(tmp_path):
+    # importing the CLI, and a deploy of fewer rows than the kernel takes, neither compile the
+    # row-text kernel nor build its tables; a pooled deploy builds them once, in the parent,
+    # before its writer's workers fork (two here, whatever the host's CPU count), and the
+    # parent formats no chunk itself
+    src = Path(cli.__file__).parent.parent
+    code = (
+        "import os, sys, scatternet.cli\n"
+        "from scatternet import fileio\n"
+        "if 'scatternet._rowtext' in sys.modules: sys.exit('loaded by import scatternet.cli')\n"
+        "def deploy(nodes, out):\n"
+        "    argv = ['deploy', '--size', '1', '--max-layers', '5', '--nodes', str(nodes), '--out-dir', out]\n"
+        "    if scatternet.cli.main(argv) != 0: sys.exit(f'deploy of {nodes} nodes failed')\n"
+        "deploy(fileio._KERNEL_ROWS - 1, sys.argv[1] + '/small')\n"
+        "if 'scatternet._rowtext' in sys.modules: sys.exit('loaded by a deploy below the kernel cutoff')\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "deploy(3 * fileio._ROW_CHUNK, sys.argv[1] + '/pooled')\n"
+        "from scatternet import _rowtext\n"
+        "if _rowtext.tables.cache_info().currsize != 1: sys.exit('tables not built by the parent')\n"
+    )
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
+
 def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessing_unloaded(tmp_path):
     # a run of one chunk formats its rows, and a file of one range is parsed, in the parent,
     # so neither pays for multiprocessing; nor does a validate of many such files, nor locating

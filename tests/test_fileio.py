@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import multiprocessing
@@ -28,7 +29,7 @@ from helpers import (
     with_csv_point,
     with_json_point,
 )
-from scatternet import fileio
+from scatternet import _rowtext, fileio
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Annulus, Circle, Deployment, Disk, NetworkConfig, Rect, Sector
 from scatternet.fileio import (
@@ -254,26 +255,115 @@ def format_rows(xs, ys, tags) -> bytes:
                                np.array(tags, dtype=np.int64))
 
 
+def kernel_rows(xs, ys, tags) -> bytes:
+    """The rows from the numpy kernel, at any row count."""
+    return _rowtext.format_rows(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
+                                np.array(tags, dtype=np.int64))
+
+
+def assert_rows(xs, ys, tags):
+    """The kernel's rows, and ``_format_rows``'s, are the oracle's; a
+    mismatch names its first row."""
+    xs, ys, tags = (np.asarray(a).tolist() for a in (xs, ys, tags))
+    want = str_format_rows(xs, ys, tags)
+    for got in (kernel_rows(xs, ys, tags), format_rows(xs, ys, tags)):
+        if got != want:
+            row, got_row, want_row = next((i, g, w) for i, (g, w) in
+                                          enumerate(itertools.zip_longest(got.split(b"\n"), want.split(b"\n")))
+                                          if g != w)
+            pytest.fail(f"row {row} of {len(xs)}: {got_row!r}, not {want_row!r}")
+
+
+def floats_of_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def around(values, ulps: int = 1) -> np.ndarray:
+    """``values`` and the floats up to ``ulps`` steps either side of each."""
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    below = above = values
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
 # Signed zero, subnormal and normal limits, the largest floats, and the
 # points where ``repr`` switches between plain and exponent notation:
 # none of them is drawn by ``spread_deployment``.
 EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                   -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-05, 0.0001]
+TAG_EXTREMES = [2**63 - 1, -(2**63)]
 
 
 class TestRowFormatter:
-    """One chunk's rows from the bytes template equal the ``str.format`` rows,
-    at values and tags that no ``Deployment`` of 1..k tags reaches."""
+    """One chunk's rows from the numpy kernel, and from ``_format_rows`` on
+    either side of the row count from which it uses the kernel, equal the
+    ``str.format`` rows, at values and tags that no ``Deployment`` of 1..k
+    tags reaches."""
 
-    @pytest.mark.parametrize("tag", [2**63 - 1, -(2**63)])
+    @pytest.mark.parametrize("tag", TAG_EXTREMES)
     def test_extremes(self, tag):
         xs, ys, tags = EXTREME_FLOATS, EXTREME_FLOATS[::-1], [tag] * len(EXTREME_FLOATS)
         assert format_rows(xs, ys, tags) == str_format_rows(xs, ys, tags)
+        assert kernel_rows(xs, ys, tags) == str_format_rows(xs, ys, tags)
 
     @given(st.lists(st.tuples(finite_floats, finite_floats, st.integers(-(2**63), 2**63 - 1)), max_size=40))
     def test_finite_floats(self, rows):
         xs, ys, tags = [[row[i] for row in rows] for i in range(3)]
         assert format_rows(xs, ys, tags) == str_format_rows(xs, ys, tags)
+        assert kernel_rows(xs, ys, tags) == str_format_rows(xs, ys, tags)
+
+    @pytest.mark.parametrize("sign", [0, 1 << 63])
+    def test_every_exponent(self, sign):
+        # every biased exponent 0..2046 with significands 0, 1, 2 and 2**52 - 1
+        bits = (np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)) | np.array(
+            [0, 1, 2, 2**52 - 1], dtype=np.uint64)
+        values = floats_of_bits(bits.ravel() | np.uint64(sign))
+        assert_rows(values, values[::-1], np.arange(values.size) - values.size // 2)
+
+    def test_around_powers_of_2_and_10(self):
+        powers = around([2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)])
+        assert_rows(powers, -powers[::-1], np.arange(powers.size))
+
+    def test_notation_switches_and_integers_around_2_53(self):
+        # repr switches to exponent notation below 1e-4 and from 1e16
+        switches = around([1e-5, 1e-4, 1e15, 1e16, 9999999999999998.0], ulps=3)
+        integers = np.array([2.0**53 + i for i in range(-64, 65)])
+        values = np.concatenate([switches, integers, -switches, -integers])
+        assert_rows(values, values[::-1], [1] * values.size)
+
+    def test_subnormals(self):
+        # Schubfach as ported to Java prints at least two digits (4.9E-324); repr prints 5e-324
+        values = floats_of_bits(np.arange(5001))
+        assert_rows(values, -values, TAG_EXTREMES * (values.size // 2) + TAG_EXTREMES[:1])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=2 * 10**6, dtype=np.uint64, endpoint=False)
+        values = floats_of_bits(bits)
+        values = values[np.isfinite(values)]
+        half = values.size // 2
+        tags = np.random.default_rng(21).integers(-(2**63), 2**63, size=half, dtype=np.int64, endpoint=False)
+        assert_rows(values[:half], values[half:2 * half], tags)
+
+    @pytest.mark.parametrize("rows", [1, _rowtext._BLOCK - 1, _rowtext._BLOCK, _rowtext._BLOCK + 1,
+                                      fileio._KERNEL_ROWS - 1, fileio._KERNEL_ROWS, fileio._KERNEL_ROWS + 1])
+    def test_row_counts(self, monkeypatch, rows):
+        # blocks of the kernel, and the cutoff from which _format_rows uses it
+        calls = []
+        kernel = _rowtext.format_rows
+        monkeypatch.setattr(_rowtext, "format_rows", lambda *arrays: calls.append(len(arrays[0])) or kernel(*arrays))
+        d = spread_deployment(rows, seed=rows)
+        assert_rows(d.x, d.y, d.sector)
+        assert calls == [rows] + ([rows] if rows >= fileio._KERNEL_ROWS else [])
+
+    def test_other_dtypes_use_the_template(self):
+        # the kernel reads float64 bits; integer and float32 coordinates keep their %r text
+        n = fileio._KERNEL_ROWS
+        for xs in (np.arange(n), np.linspace(-1, 1, n, dtype=np.float32)):
+            tags = np.ones(n, dtype=np.int64)
+            assert fileio._format_rows(xs, xs, tags) == str_format_rows(xs.tolist(), xs.tolist(), tags.tolist())
 
 
 def touch_after(path, delay):
@@ -1069,3 +1159,12 @@ class TestReport:
         assert payloads["none tested"]["angular_chi2"] is None
         assert payloads["none tested"]["radial_ks"] == payloads["none tested"]["areal_chi2"] == []
         assert payloads["Infinity density"]["per_sector"][1]["density"] == math.inf
+
+    def test_records_of_one_list_share_their_keys(self, tmp_path):
+        # a dof is written only where it is set, so a list that mixes the two has no one layout
+        radial = ((1, GofResult(0.1, 0.5, True)), (2, GofResult(0.1, 0.5, True, dof=3)))
+        report = StatReport(per_sector=(), radial=radial, areal=(), angular=None, ks_alpha=0.01)
+        assert [list(record) for record in report.to_dict()["radial_ks"]] == [
+            ["sector", "statistic", "p_value", "passed"], ["sector", "statistic", "p_value", "passed", "dof"]]
+        with pytest.raises(ValueError, match="share their keys"):
+            write_report(tmp_path / "run.report.json", report)
