@@ -82,6 +82,10 @@ _ROW_CHUNK = 1 << 14
 # bytes template's lower fixed cost wins.  On a 2-vCPU VM the two broke even
 # between 200 and 400 rows; at 100 rows the kernel took 2-4 times as long.
 _KERNEL_ROWS = 400
+# Bytes of a row in any layout, at most: two 24-byte float reprs, a 20-byte tag
+# (-2.2250738585072014e-308, -9223372036854775808) and JSON's 8 of layout.
+_ROW_BYTES = 80
+_IN_FLIGHT = 2  # jobs per pool worker sent and not yet taken back
 
 
 def _format_rows(x, y, sector) -> bytes:
@@ -109,6 +113,11 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _workers(jobs) -> int:
+    """Workers of :func:`_in_order`'s pool: one per CPU, at most one per job."""
+    return min(_cpus(), len(jobs))
+
+
 @contextmanager
 def _in_order(fn, jobs: list):
     """``fn(*job)`` for each of ``jobs``, in order, on every CPU available,
@@ -116,8 +125,8 @@ def _in_order(fn, jobs: list):
 
     With one job, or one CPU available to the process, this yields
     ``itertools.starmap`` and ``multiprocessing`` is not imported.
-    Otherwise a fork pool of one worker per CPU (at most one per job) runs
-    the jobs, two per worker in flight, so memory beyond the jobs stays
+    Otherwise a fork pool of ``_workers(jobs)`` runs the jobs,
+    ``_IN_FLIGHT`` per worker in flight, so memory beyond the jobs stays
     bounded by the results not yet taken.  If that pool cannot start (an
     ``OSError``, such as no process left to fork), the jobs run
     in-process, as on one CPU.  A job that raises raises where its result
@@ -132,7 +141,7 @@ def _in_order(fn, jobs: list):
     Workers are forked: ``fn`` must call no BLAS and take no lock that the
     parent holds (the parent's other threads do not exist in them).
     """
-    workers = min(_cpus(), len(jobs))
+    workers = _workers(jobs)
     pool = None
     if workers > 1:
         import multiprocessing  # deferred, so that one-job calls never load it
@@ -144,7 +153,7 @@ def _in_order(fn, jobs: list):
         return
     with pool:  # its exit terminates the pool
         try:
-            yield _taken_in_order(pool, fn, jobs, 2 * workers)
+            yield _taken_in_order(pool, fn, jobs, _IN_FLIGHT * workers)
         except Exception:
             pool.close()
             pool.join()
@@ -155,7 +164,8 @@ def _in_order(fn, jobs: list):
 
 def _taken_in_order(pool, fn, jobs, window: int):
     """``fn(*job)`` for each of ``jobs`` on ``pool``, with at most ``window``
-    jobs sent and not yet taken back."""
+    jobs sent and not yet taken back: job k is sent only when the caller
+    asks for the result after job k - ``window``'s."""
     pending = deque()
     for job in jobs:
         pending.append(pool.apply_async(fn, job))
@@ -165,46 +175,76 @@ def _taken_in_order(pool, fn, jobs, window: int):
         yield pending.popleft().get()
 
 
+_slots = None  # the write in progress: point arrays, buffer, slot count, bytes per target and slot, layouts
+
+
+def _lay_out(index: int) -> list:
+    """Format chunk ``index`` of the write in progress and lay it out for
+    each target, as ``sep`` (after the first chunk), ``open``, the rows and
+    ``close``, into its share of slot ``index % slots``; the byte counts."""
+    arrays, buffer, slots, share, layouts = _slots
+    start, counts = index * _ROW_CHUNK, []
+    rows = _format_rows(*(array[start:start + _ROW_CHUNK] for array in arrays))
+    for number, (_, opening, field, closing, sep, _) in enumerate(layouts):
+        text = rows
+        for old, new in ((b",", field), (b"\n", closing + sep + opening)):
+            if old != new:
+                text = text.replace(old, new)
+        text = b"".join((sep if index else b"", opening, text, closing))
+        if len(text) > share:
+            raise ValueError(f"chunk {index}: {len(text)} bytes of text overflow a slot of {share}")
+        at = (index % slots * len(layouts) + number) * share
+        buffer[at:at + len(text)] = text
+        counts.append(len(text))
+    return counts
+
+
 def _stream_points(deployment: Deployment, targets) -> None:
     """Write the point set to every ``(path, layout)`` of ``targets``.
 
-    Rows are formatted ``_ROW_CHUNK`` at a time, once for all targets, on
-    every CPU available to the process (see :func:`_in_order`); chunks
-    are written in order, so the bytes depend on neither the chunk size
-    nor the CPU count, and memory beyond the point arrays stays bounded by
-    the chunks in flight.  The pool lives only for this call.
-
-    Each target lays a chunk out as its ``_LAYOUTS`` entry states, skipping
-    a replace whose strings are equal, and writes it in pieces (``sep``
-    after the first chunk, ``open``, the text, ``close``), never joined.
-
-    Workers only turn the arrays they are sent into bytes; files are opened
-    in binary mode, so the parent only unpickles and writes.  Workers are
-    forked before the output files are opened, so none holds a copy of a
-    file's buffer, and they are joined before this call returns or raises.
+    :func:`_lay_out` formats rows ``_ROW_CHUNK`` at a time, on every CPU
+    (see :func:`_in_order`), into ``_IN_FLIGHT`` slots per worker of a
+    buffer mapped before the fork (anonymous shared ``mmap``; ``bytearray``
+    if no pool is tried), each of ``_ROW_BYTES`` per target and row of the
+    largest chunk, and reused only once written (:func:`_taken_in_order`).
+    A job is a chunk's index and returns its byte counts: workers slice the
+    arrays they forked with.  The parent writes ``memoryview`` slices of the
+    slots in order, to files opened in binary mode after the fork, so the
+    bytes depend on neither the chunk size nor the CPU count.  Workers are
+    joined, and the buffer freed, before this call returns or raises.
     """
+    global _slots
     x, y, sector = deployment.x, deployment.y, deployment.sector
     if x.size >= _KERNEL_ROWS:
         from . import _rowtext
 
         _rowtext.tables()  # built once, before the workers fork, so that they share them
-    chunks = [
-        (x[start:start + _ROW_CHUNK], y[start:start + _ROW_CHUNK], sector[start:start + _ROW_CHUNK])
-        for start in range(0, x.size, _ROW_CHUNK)
-    ]
-    with _in_order(_format_rows, chunks) as texts, ExitStack() as stack:
-        files = [(stack.enter_context(Path(path).open("wb")), _LAYOUTS[layout]) for path, layout in targets]
-        for handle, (head, *_) in files:
-            handle.write(head)
-        for index, rows in enumerate(texts):
-            for handle, (_, opening, field, closing, sep, _) in files:
-                text = rows
-                for old, new in ((b",", field), (b"\n", closing + sep + opening)):
-                    if old != new:
-                        text = text.replace(old, new)
-                handle.writelines((sep if index else b"", opening, text, closing))
-        for handle, (*_, tail) in files:
-            handle.write(tail)
+    chunks = [(index,) for index in range(-(-x.size // _ROW_CHUNK))]
+    layouts = [_LAYOUTS[layout] for _, layout in targets]
+    workers, share = _workers(chunks), min(x.size, _ROW_CHUNK) * _ROW_BYTES
+    slots, size = _IN_FLIGHT * workers, _IN_FLIGHT * workers * share * len(layouts)
+    try:
+        with ExitStack() as stack:
+            if workers > 1:
+                import mmap  # deferred, so that a write in-process never loads it
+
+                buffer = stack.enter_context(mmap.mmap(-1, size))
+            else:
+                buffer = bytearray(size)
+            _slots = (x, y, sector), buffer, slots, share, layouts
+            counts = stack.enter_context(_in_order(_lay_out, chunks))
+            view = stack.enter_context(memoryview(buffer))
+            handles = [stack.enter_context(Path(path).open("wb")) for path, _ in targets]
+            for handle, (head, *_) in zip(handles, layouts):
+                handle.write(head)
+            for index, lengths in enumerate(counts):
+                for number, (handle, length) in enumerate(zip(handles, lengths)):
+                    at = (index % slots * len(layouts) + number) * share
+                    handle.write(view[at:at + length])
+            for handle, (*_, tail) in zip(handles, layouts):
+                handle.write(tail)
+    finally:
+        _slots = None
 
 
 def write_points(path, deployment: Deployment, fmt: str = "csv", xy_path=None) -> None:

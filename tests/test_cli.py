@@ -494,24 +494,27 @@ def test_cli_import_and_small_deploy_leave_the_row_kernel_unloaded(tmp_path):
 
 def test_cli_import_one_chunk_deploy_and_one_range_validate_leave_multiprocessing_unloaded(tmp_path):
     # a run of one chunk formats its rows, and a file of one range is parsed, in the parent,
-    # so neither pays for multiprocessing; nor does a validate of many such files, nor locating
-    # a bad row of such a file
+    # so neither pays for multiprocessing, nor for the mmap of a pooled write's slots; nor does a
+    # validate of many such files, nor locating a bad row of such a file
     src = Path(cli.__file__).parent.parent
     code = (
         "import sys, scatternet.cli\n"
-        "if 'multiprocessing' in sys.modules: sys.exit('loaded by import scatternet.cli')\n"
+        "def unloaded(after):\n"
+        "    for module in ('multiprocessing', 'mmap'):\n"
+        "        if module in sys.modules: sys.exit(f'{module} loaded by {after}')\n"
+        "unloaded('import scatternet.cli')\n"
         "argv = ['deploy', '--size', '1', '--max-layers', '5', '--nodes', '100', '--runs', '2',\n"
         "        '--out-dir', sys.argv[1]]\n"
         "if scatternet.cli.main(argv) != 0: sys.exit('deploy failed')\n"
-        "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-chunk deploy')\n"
+        "unloaded('a one-chunk deploy')\n"
         "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 0: sys.exit('validate failed')\n"
-        "if 'multiprocessing' in sys.modules: sys.exit('loaded by a one-range validate')\n"
+        "unloaded('a one-range validate')\n"
         "runs = [sys.argv[1] + '/run_000.csv', sys.argv[1] + '/run_001.csv']\n"
         "if scatternet.cli.main(['validate', *runs]) != 0: sys.exit('validate of two runs failed')\n"
-        "if 'multiprocessing' in sys.modules: sys.exit('loaded by a validate of two one-range files')\n"
+        "unloaded('a validate of two one-range files')\n"
         "with open(sys.argv[1] + '/run_000.csv', 'a') as points: points.write('1_0,0.5,1\\n')\n"
         "if scatternet.cli.main(['validate', sys.argv[1] + '/run_000.csv']) != 3: sys.exit('bad row not refused')\n"
-        "if 'multiprocessing' in sys.modules: sys.exit('loaded by locating a bad row')\n"
+        "unloaded('locating a bad row')\n"
     )
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                    env={**os.environ, "PYTHONPATH": str(src)}, check=True)

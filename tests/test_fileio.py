@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import tempfile
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -234,6 +235,7 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("where", ["at open", "mid-stream"])
     def test_failed_write_leaves_no_worker(self, tmp_path, monkeypatch, where):
+        # the write's own OSError, not a BufferError from unmapping slots still viewed
         if where == "mid-stream" and not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")
         pools = pretend_cpus(monkeypatch, 2)
@@ -242,6 +244,59 @@ class TestStreamedWriter:
             write_points(path, spread_deployment(3 * CHUNK + 5, seed=0))
         assert pools == [2]
         assert multiprocessing.active_children() == []
+        assert fileio._slots is None
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_job_raises_its_own_error(self, tmp_path, monkeypatch, cpus):
+        # the last chunk's job raises after the others were written from their slots
+        pools = pretend_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(fileio, "_format_rows", rows_unless_short)
+        with pytest.raises(LookupError, match="a short chunk"):
+            write_points(tmp_path / "p.csv", spread_deployment(3 * CHUNK + 5, seed=0), xy_path=tmp_path / "p.xy")
+        assert pools == ([2] if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
+        assert fileio._slots is None
+
+    @pytest.mark.parametrize("writer, width", [("csv", 71), ("json", 76), ("csv+xy", 71)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_widest_rows_fill_their_slots(self, tmp_path, monkeypatch, cpus, writer, width):
+        """The widest row of each layout takes ``width`` bytes with its
+        share of layout: written at the default bound, and at ``width``
+        bytes a row (every full slot filled to its last byte), each file is
+        its oracle; one byte a row less overflows the first slot and
+        raises.  Pooled, 6 chunks cycle through 4 slots."""
+        pools = pretend_cpus(monkeypatch, cpus)
+        d = widest_rows(5 * CHUNK + 3)
+        for bound in (fileio._ROW_BYTES, width):
+            monkeypatch.setattr(fileio, "_ROW_BYTES", bound)
+            WRITERS[writer](d, tmp_path)
+            for path in tmp_path.iterdir():
+                assert path.read_bytes() == ORACLES[path.suffix[1:]](d).encode(), (bound, path.name)
+        monkeypatch.setattr(fileio, "_ROW_BYTES", width - 1)
+        with pytest.raises(ValueError, match="overflow a slot"):
+            WRITERS[writer](d, tmp_path)
+        assert pools == ([2] * 3 if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
+        assert fileio._slots is None
+
+
+def widest_rows(n):
+    """``n`` rows of two 24-character float reprs and a 20-character tag,
+    distinct tags.  A ``Deployment`` holds no tag below 1, but the writer
+    reads only the three arrays."""
+    return types.SimpleNamespace(x=np.full(n, -2.2250738585072014e-308), y=np.full(n, -1.7976931348623157e308),
+                                 sector=np.iinfo(np.int64).min + np.arange(n, dtype=np.int64))
+
+
+_format_rows = fileio._format_rows
+
+
+def rows_unless_short(x, y, sector):
+    """``fileio._format_rows``, except that a chunk of fewer than
+    ``_ROW_CHUNK`` rows raises."""
+    if x.size < CHUNK:
+        raise LookupError("a short chunk")
+    return _format_rows(x, y, sector)
 
 
 def str_format_rows(xs, ys, tags) -> bytes:
