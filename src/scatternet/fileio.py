@@ -113,19 +113,15 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers(jobs) -> int:
-    """Workers of :func:`_in_order`'s pool: one per CPU, at most one per job."""
-    return min(_cpus(), len(jobs))
-
-
 @contextmanager
-def _in_order(fn, jobs: list):
-    """``fn(*job)`` for each of ``jobs``, in order, on every CPU available,
-    for the life of one ``with`` block.
+def _in_order(fn, jobs: list, workers: int):
+    """``fn(*job)`` for each of ``jobs``, in order, on ``workers`` CPUs, for
+    the life of one ``with`` block.
 
-    With one job, or one CPU available to the process, this yields
-    ``itertools.starmap`` and ``multiprocessing`` is not imported.
-    Otherwise a fork pool of ``_workers(jobs)`` runs the jobs,
+    Callers pass ``min(_cpus(), len(jobs))``, computed once, so that what
+    they sized for the pool is the pool they get.  With ``workers`` below
+    2 this yields ``itertools.starmap`` and ``multiprocessing`` is not
+    imported.  Otherwise a fork pool of ``workers`` runs the jobs,
     ``_IN_FLIGHT`` per worker in flight, so memory beyond the jobs stays
     bounded by the results not yet taken.  If that pool cannot start (an
     ``OSError``, such as no process left to fork), the jobs run
@@ -141,7 +137,6 @@ def _in_order(fn, jobs: list):
     Workers are forked: ``fn`` must call no BLAS and take no lock that the
     parent holds (the parent's other threads do not exist in them).
     """
-    workers = _workers(jobs)
     pool = None
     if workers > 1:
         import multiprocessing  # deferred, so that one-job calls never load it
@@ -181,22 +176,26 @@ _slots = None  # the write in progress: point arrays, buffer, slot count, bytes 
 def _lay_out(index: int) -> list:
     """Format chunk ``index`` of the write in progress and lay it out for
     each target, as ``sep`` (after the first chunk), ``open``, the rows and
-    ``close``, into its share of slot ``index % slots``; the byte counts."""
+    ``close``, into its share of slot ``index % slots``; the ``(offset,
+    length)`` of each target's text in the buffer."""
     arrays, buffer, slots, share, layouts = _slots
-    start, counts = index * _ROW_CHUNK, []
+    start, spans = index * _ROW_CHUNK, []
     rows = _format_rows(*(array[start:start + _ROW_CHUNK] for array in arrays))
     for number, (_, opening, field, closing, sep, _) in enumerate(layouts):
         text = rows
         for old, new in ((b",", field), (b"\n", closing + sep + opening)):
             if old != new:
                 text = text.replace(old, new)
-        text = b"".join((sep if index else b"", opening, text, closing))
-        if len(text) > share:
-            raise ValueError(f"chunk {index}: {len(text)} bytes of text overflow a slot of {share}")
-        at = (index % slots * len(layouts) + number) * share
-        buffer[at:at + len(text)] = text
-        counts.append(len(text))
-    return counts
+        pieces = (sep if index else b"", opening, text, closing)
+        length = sum(map(len, pieces))
+        if length > share:
+            raise ValueError(f"chunk {index}: {length} bytes of text overflow a slot of {share}")
+        at = end = (index % slots * len(layouts) + number) * share
+        for piece in pieces:  # copied into the slot as they are, not joined first
+            buffer[end:end + len(piece)] = piece
+            end += len(piece)
+        spans.append((at, length))
+    return spans
 
 
 def _stream_points(deployment: Deployment, targets) -> None:
@@ -206,11 +205,12 @@ def _stream_points(deployment: Deployment, targets) -> None:
     (see :func:`_in_order`), into ``_IN_FLIGHT`` slots per worker of a
     buffer mapped before the fork (anonymous shared ``mmap``; ``bytearray``
     if no pool is tried), each of ``_ROW_BYTES`` per target and row of the
-    largest chunk, and reused only once written (:func:`_taken_in_order`).
-    A job is a chunk's index and returns its byte counts: workers slice the
-    arrays they forked with.  The parent writes ``memoryview`` slices of the
-    slots in order, to files opened in binary mode after the fork, so the
-    bytes depend on neither the chunk size nor the CPU count.  Workers are
+    largest chunk, and reused only once written (:func:`_taken_in_order`);
+    one worker count sizes both the slots and the pool.  A job is a chunk's
+    index and returns where its texts lie: workers slice the arrays they
+    forked with.  The parent writes ``memoryview`` slices of the slots in
+    order, to files opened in binary mode after the fork, so the bytes
+    depend on neither the chunk size nor the CPU count.  Workers are
     joined, and the buffer freed, before this call returns or raises.
     """
     global _slots
@@ -221,8 +221,9 @@ def _stream_points(deployment: Deployment, targets) -> None:
         _rowtext.tables()  # built once, before the workers fork, so that they share them
     chunks = [(index,) for index in range(-(-x.size // _ROW_CHUNK))]
     layouts = [_LAYOUTS[layout] for _, layout in targets]
-    workers, share = _workers(chunks), min(x.size, _ROW_CHUNK) * _ROW_BYTES
-    slots, size = _IN_FLIGHT * workers, _IN_FLIGHT * workers * share * len(layouts)
+    workers = min(_cpus(), len(chunks))
+    slots, share = _IN_FLIGHT * workers, min(x.size, _ROW_CHUNK) * _ROW_BYTES
+    size = slots * share * len(layouts)
     try:
         with ExitStack() as stack:
             if workers > 1:
@@ -232,14 +233,13 @@ def _stream_points(deployment: Deployment, targets) -> None:
             else:
                 buffer = bytearray(size)
             _slots = (x, y, sector), buffer, slots, share, layouts
-            counts = stack.enter_context(_in_order(_lay_out, chunks))
+            laid_out = stack.enter_context(_in_order(_lay_out, chunks, workers))
             view = stack.enter_context(memoryview(buffer))
             handles = [stack.enter_context(Path(path).open("wb")) for path, _ in targets]
             for handle, (head, *_) in zip(handles, layouts):
                 handle.write(head)
-            for index, lengths in enumerate(counts):
-                for number, (handle, length) in enumerate(zip(handles, lengths)):
-                    at = (index % slots * len(layouts) + number) * share
+            for spans in laid_out:
+                for handle, (at, length) in zip(handles, spans):
                     handle.write(view[at:at + length])
             for handle, (*_, tail) in zip(handles, layouts):
                 handle.write(tail)
@@ -566,7 +566,7 @@ def read_ahead(paths, writes):
         jobs += [(layout, *cut) for cut in ranges]
         with suppress(OSError, ValueError):  # a file it creates is none of ``paths``
             written.add(_file_id(write))
-    with _in_order(_parse_ahead, jobs) as parsed:
+    with _in_order(_parse_ahead, jobs, min(cpus, len(jobs))) as parsed:
         _ahead = entries, parsed
         try:
             yield

@@ -257,6 +257,20 @@ class TestStreamedWriter:
         assert multiprocessing.active_children() == []
         assert fileio._slots is None
 
+    @pytest.mark.parametrize("answers", [(1, 2), (2, 1)])
+    def test_one_cpu_count_sizes_the_slots_and_the_pool(self, tmp_path, monkeypatch, answers):
+        # the CPU set changing mid-write, as by ``taskset -p``, changes neither the pool nor a byte:
+        # slots sized for one CPU and a pool of two would leave the workers' text in private copies
+        pools = pretend_cpus(monkeypatch, 2)
+        counts = itertools.chain(answers, itertools.repeat(answers[-1]))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(next(counts))), raising=False)
+        d = spread_deployment(3 * CHUNK + 5, seed=4)
+        WRITERS["csv+xy"](d, tmp_path)
+        for path in tmp_path.iterdir():
+            assert path.read_bytes() == ORACLES[path.suffix[1:]](d).encode(), path.name
+        assert pools == ([2] if answers[0] == 2 else [])
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("writer, width", [("csv", 71), ("json", 76), ("csv+xy", 71)])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_widest_rows_fill_their_slots(self, tmp_path, monkeypatch, cpus, writer, width):
@@ -432,7 +446,7 @@ class TestPoolHelper:
         pools = pretend_cpus(monkeypatch, 2)
         jobs = [(tmp_path / f"job{i}", 0.0 if i == 0 else 0.3) for i in range(4)]  # all four sent at once
         with pytest.raises(KeyError):
-            with fileio._in_order(touch_after, jobs) as results:
+            with fileio._in_order(touch_after, jobs, 2) as results:
                 for _ in results:
                     raise KeyError("the caller fails at its first result")
         assert pools == [2]
@@ -445,7 +459,7 @@ class TestPoolHelper:
         jobs = [(tmp_path / f"job{i}", 0.0 if i == 0 else 30.0) for i in range(4)]  # all four sent at once
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            with fileio._in_order(touch_after, jobs) as results:
+            with fileio._in_order(touch_after, jobs, 2) as results:
                 for _ in results:
                     raise KeyboardInterrupt
         assert time.monotonic() - start < 10
