@@ -179,11 +179,8 @@ def _validate_one(points_path: Path, ks_alpha: float) -> int:
     write_report(_sibling(points_path, "report"), report)
     for test, sector, result in report.failures():
         where = f"sector {sector}" if sector is not None else "all points"
-        alpha = ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
-        _err(
-            f"{points_path}: {test} failed for {where}: "
-            f"statistic {result.statistic:.6g}, p-value {result.p_value:.6g} <= alpha {alpha:.6g}"
-        )
+        _err(f"{points_path}: {test} failed for {where}: statistic {result.statistic:.6g}, "
+             f"p-value {result.p_value:.6g} <= alpha {report.alpha(test):.6g}")
         code = EXIT_VALIDATION
     if code == EXIT_OK:
         print(f"{points_path}: ok ({len(deployment)} points, {len(report.per_sector)} sectors)")

@@ -8,7 +8,9 @@ radius) against the uniform law; per sector of any shape, one areal
 chi-square over ``AREAL_SHELLS x AREAL_WEDGES`` equal cells of the pairs
 (equal-area shells by wedges for an annulus or disk, an equal grid for a
 rectangle).  The third, when every sector is origin-centered, is an angular
-chi-square over all points.
+chi-square over all points.  ``_skips`` states which of a sector's tests
+run; the report holds every test run in one family, ``StatReport.tests``,
+and ``StatReport.alpha`` states the level each is judged at.
 
 ``check_membership`` and ``evaluate_deployment`` test a run's sectors in
 passes over its points grouped by sector, not one sector at a time: a pass
@@ -22,19 +24,18 @@ arithmetic per sector; the scratch of a pass is bounded by its points.
 Every test here is a deterministic function of its input point set, and
 every verdict is its p-value against its significance level: a test passes
 when ``p_value > alpha``.  KS p-values come from the asymptotic Kolmogorov
-distribution, ``P(K > sqrt(n) * D)`` (valid for the n >= 30 samples we ever
-feed it); chi-square p-values are the exact survival function of the
-integer-dof chi-square law.  Both are closed forms in ``math``, so
-validation needs nothing beyond numpy.  Default significance levels are
-0.01 for KS and 0.001 for chi-square tests, chosen to keep many-seed
+distribution, ``P(K > sqrt(n) * D)``, never below the exact one for the
+n >= 30 we feed it; chi-square p-values are the exact survival function of
+the integer-dof chi-square law.  Both are closed forms in ``math``.  Default
+levels, 0.01 for KS and 0.001 for chi-square tests, keep many-seed
 validation runs quiet; the upstream algorithm makes no quantitative
-distributional claim of its own, so these levels are tool decisions, not
+distributional claim of its own, so they are tool decisions, not
 reproduced numbers.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -133,13 +134,10 @@ def _pearson_statistics(observed: np.ndarray, expected) -> np.ndarray:
     return np.sum((observed - expected) ** 2 / expected, axis=-1)
 
 
-def _chi2_result(stat: float, dof: int, alpha: float) -> GofResult:
+def _pearson_chi2(observed: np.ndarray, expected: np.ndarray, alpha: float) -> GofResult:
+    stat, dof = float(_pearson_statistics(observed, expected)), observed.size - 1
     p_value = _chi2_sf(dof, stat)
     return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha, dof=dof)
-
-
-def _pearson_chi2(observed: np.ndarray, expected: np.ndarray, alpha: float) -> GofResult:
-    return _chi2_result(float(_pearson_statistics(observed, expected)), observed.size - 1, alpha)
 
 
 def _ks_distances(u, sizes) -> list:
@@ -302,42 +300,55 @@ def check_membership(deployment: Deployment) -> np.ndarray:
     return np.sort(np.concatenate(outside))  # a plan holds at least one sector
 
 
-def _sector_tests(deployment: Deployment, grouping, shapes, areas):
-    """``(distances, statistics)``: the radial KS distance of each circular
-    sector of at least ``MIN_KS_POINTS`` points, and the areal Pearson
-    statistic of each sector of at least the areal minimum, by sector (from
-    0).  Sectors of zero area are not tested.
+def _sector_tests(deployment: Deployment, grouping, ks, areal) -> list:
+    """``(test, sector, statistic, p-value, dof)`` of the radial KS test of
+    each sector ``ks`` marks, then of the areal chi-square test of each
+    sector ``areal`` marks (boolean arrays by sector from 0), by sector.
+    Sectors neither marks are in no pass.
 
     A pass counts the cells of all its sectors in one ``bincount`` over
     sector x cells + cell, then sorts each KS sector's u1 in place and
     takes every distance from the sorted runs at once."""
     cells = AREAL_SHELLS * AREAL_WEDGES
-    min_areal = MIN_EXPECTED_PER_BIN * cells
     _, bounds, sizes = grouping
-    rules = [shape.unit_rule() if area != 0 else (None, ()) for shape, area in zip(shapes, areas)]
-    distances, statistics = {}, {}
+    rules = [sec.shape.unit_rule() if run else (None, ()) for sec, run in zip(deployment.plan.sectors, ks | areal)]
+    radial, chi2 = [], []
     for lo, hi in _passes([function for function, _ in rules], bounds):
         begin, counts = bounds[lo], sizes[lo:hi]
-        areal = np.flatnonzero(counts >= min_areal)
-        tested = [] if isinstance(shapes[lo], Rect) else (lo + np.flatnonzero(counts >= MIN_KS_POINTS)).tolist()
-        if not (areal.size or tested):
-            continue
         u1, u2 = _apply(deployment, grouping, rules, lo, hi)
-        if areal.size:
+        marked = np.flatnonzero(areal[lo:hi])
+        if marked.size:
             code = _cells(u1, u2)
             if hi - lo > 1:
                 code += np.repeat(np.arange(0, cells * (hi - lo), cells), counts)
             observed = np.bincount(code, minlength=cells * (hi - lo)).reshape(hi - lo, cells)
-            pearson = _pearson_statistics(observed[areal].astype(np.float64), counts[areal, None] / cells)
-            statistics.update(zip((lo + areal).tolist(), pearson.tolist()))
-        if not tested:
-            continue
+            pearson = _pearson_statistics(observed[marked].astype(np.float64), counts[marked, None] / cells)
+            chi2 += [("areal_chi2", lo + j + 1, q, _chi2_sf(cells - 1, q), cells - 1)
+                     for j, q in zip(marked.tolist(), pearson.tolist())]
+        tested = (lo + np.flatnonzero(ks[lo:hi])).tolist()
         for j in tested:
             u1[bounds[j] - begin:bounds[j + 1] - begin].sort()
-        # every sector's points are a run of u1; those of sectors not tested are unsorted, and dropped
-        runs = dict(zip(np.flatnonzero(counts > 0).tolist(), _ks_distances(u1, counts[counts > 0])))
-        distances.update((j, runs[j - lo]) for j in tested)
-    return distances, statistics
+        if tested:
+            # every sector's points are a run of u1; those of sectors not tested are unsorted, and dropped
+            runs = dict(zip(np.flatnonzero(counts > 0).tolist(), _ks_distances(u1, counts[counts > 0])))
+            radial += [("radial_ks", j + 1, runs[j - lo], _kolmogorov(math.sqrt(sizes[j]) * runs[j - lo]), None)
+                       for j in tested]
+    return radial + chi2
+
+
+def _skips(shape, area: float, count: int) -> dict:
+    """Why each test of a sector that is not run is skipped, by test name in
+    the order the report lists them; the sector's other tests are run."""
+    if area == 0:
+        return {"radial_ks": "zero-width layer", "areal_chi2": "zero-width layer"}
+    min_areal = MIN_EXPECTED_PER_BIN * AREAL_SHELLS * AREAL_WEDGES
+    rect = isinstance(shape, Rect)
+    skips = {"radial_ks": f"{count} < {MIN_KS_POINTS} points"} if not rect and count < MIN_KS_POINTS else {}
+    if count < min_areal:
+        skips["areal_chi2"] = f"{count} < {min_areal} points"
+    if rect:
+        skips["radial_ks"] = "not applicable to rectangular sectors"
+    return skips
 
 
 @dataclass(frozen=True)
@@ -350,24 +361,44 @@ class SectorStat:
 
 @dataclass(frozen=True)
 class StatReport:
-    """Bundle of per-sector statistics and goodness-of-fit outcomes."""
+    """Per-sector statistics and the run's one family of goodness-of-fit
+    tests.
+
+    ``tests`` holds every test run, as ``(test, sector index or None,
+    GofResult)`` in report order: the radial KS tests, then the areal
+    chi-square tests, each by sector, then the angular chi-square test of
+    all points.  ``radial``, ``areal`` and ``angular`` are read-only views
+    of it, and :meth:`alpha` is the level each test is judged at."""
 
     per_sector: tuple
-    radial: tuple  # (sector index, GofResult) pairs
-    areal: tuple  # (sector index, GofResult) pairs
-    angular: Optional[GofResult]
+    tests: tuple
     ks_alpha: float
     skipped: tuple = field(default_factory=tuple)  # (sector index, test name, reason)
+
+    def alpha(self, test: str) -> float:
+        """The level ``test`` is judged at: ``ks_alpha`` for radial KS, ``DEFAULT_CHI2_ALPHA`` for chi-square."""
+        return self.ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
+
+    def _view(self, test: str) -> tuple:
+        return tuple((sector, result) for name, sector, result in self.tests if name == test)
+
+    @property
+    def radial(self) -> tuple:
+        return self._view("radial_ks")
+
+    @property
+    def areal(self) -> tuple:
+        return self._view("areal_chi2")
+
+    @property
+    def angular(self) -> Optional[GofResult]:
+        return next((result for _, result in self._view("angular_chi2")), None)
 
     def all_passed(self) -> bool:
         return not self.failures()
 
-    def failures(self):
-        out = [("radial_ks", idx, res) for idx, res in self.radial if not res.passed]
-        out += [("areal_chi2", idx, res) for idx, res in self.areal if not res.passed]
-        if self.angular is not None and not self.angular.passed:
-            out.append(("angular_chi2", None, self.angular))
-        return out
+    def failures(self) -> list:
+        return [entry for entry in self.tests if not entry[2].passed]
 
     def sections(self) -> tuple:
         """The report's ``(key, value)`` pairs, in the order they are written.
@@ -378,8 +409,8 @@ class StatReport:
         lay the report out from these."""
         gof = ("sector", *_GOF_KEYS)
         return (
-            ("ks_alpha", self.ks_alpha),
-            ("chi2_alpha", DEFAULT_CHI2_ALPHA),
+            ("ks_alpha", self.alpha("radial_ks")),
+            ("chi2_alpha", self.alpha("areal_chi2")),
             ("per_sector", (("index", "count", "area", "density"),
                             [(s.index, s.count, s.area, s.density) for s in self.per_sector])),
             ("radial_ks", (gof, [(idx, *res.values()) for idx, res in self.radial])),
@@ -397,61 +428,32 @@ class StatReport:
 def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALPHA) -> StatReport:
     """Run every applicable distribution test and assemble a report.
 
-    Radial KS tests run at ``ks_alpha``, every chi-square test at
-    ``DEFAULT_CHI2_ALPHA``.
+    Each test is judged at the report's ``alpha(test)``: the radial KS
+    tests at ``ks_alpha``, every chi-square test at ``DEFAULT_CHI2_ALPHA``.
 
-    Tests whose sample-size preconditions are not met by a sector are
+    Tests whose preconditions a sector does not meet (``_skips``) are
     recorded as skipped rather than failed; the network-wide angular test
     only applies when every sector is origin-centered.
     """
-    shapes = [sec.shape for sec in deployment.plan.sectors]
-    areas = [shape.area() for shape in shapes]
     grouping = _grouped(deployment)
-    distances, statistics = _sector_tests(deployment, grouping, shapes, areas)
-    per_sector = []
-    radial = []
-    areal = []
-    skipped = []
-    all_circular = True
-    cells = AREAL_SHELLS * AREAL_WEDGES
-    min_areal = MIN_EXPECTED_PER_BIN * cells
     counts = grouping[2].tolist()
-    for index, (shape, area, count) in enumerate(zip(shapes, areas, counts), start=1):
-        density = count / area if area > 0 else math.inf
-        per_sector.append(SectorStat(index=index, count=count, area=area, density=density))
-        if area == 0:
-            skipped.append((index, "radial_ks", "zero-width layer"))
-            skipped.append((index, "areal_chi2", "zero-width layer"))
-            continue
-        if not isinstance(shape, Rect):
-            if count >= MIN_KS_POINTS:
-                stat = distances[index - 1]
-                p_value = _kolmogorov(math.sqrt(count) * stat)
-                radial.append((index, GofResult(statistic=stat, p_value=p_value, passed=p_value > ks_alpha)))
-            else:
-                skipped.append((index, "radial_ks", f"{count} < {MIN_KS_POINTS} points"))
-        if count < min_areal:
-            skipped.append((index, "areal_chi2", f"{count} < {min_areal} points"))
-        else:
-            areal.append((index, _chi2_result(statistics[index - 1], cells - 1, DEFAULT_CHI2_ALPHA)))
-        if isinstance(shape, Rect):
-            all_circular = False
-            skipped.append((index, "radial_ks", "not applicable to rectangular sectors"))
-
-    angular = None
-    if all_circular:
-        if len(deployment) >= MIN_EXPECTED_PER_BIN * ANGULAR_BINS:
-            angular = angular_chi2(deployment.x, deployment.y)
-        else:
-            skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
-    else:
+    per_sector, skipped, ks, areal = [], [], [], []
+    for index, (sec, count) in enumerate(zip(deployment.plan.sectors, counts), start=1):
+        area = sec.shape.area()
+        per_sector.append(SectorStat(index, count, area, count / area if area > 0 else math.inf))
+        skips = _skips(sec.shape, area, count)
+        skipped += [(index, test, reason) for test, reason in skips.items()]
+        ks.append("radial_ks" not in skips)
+        areal.append("areal_chi2" not in skips)
+    found = _sector_tests(deployment, grouping, np.array(ks), np.array(areal))
+    if any(isinstance(sec.shape, Rect) for sec in deployment.plan.sectors):
         skipped.append((None, "angular_chi2", "plan contains non-circular sectors"))
+    elif len(deployment) < MIN_EXPECTED_PER_BIN * ANGULAR_BINS:
+        skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
+    else:
+        angular = angular_chi2(deployment.x, deployment.y)
+        found.append(("angular_chi2", None, angular.statistic, angular.p_value, angular.dof))
 
-    return StatReport(
-        per_sector=tuple(per_sector),
-        radial=tuple(radial),
-        areal=tuple(areal),
-        angular=angular,
-        ks_alpha=ks_alpha,
-        skipped=tuple(skipped),
-    )
+    report = StatReport(per_sector=tuple(per_sector), tests=(), ks_alpha=ks_alpha, skipped=tuple(skipped))
+    return replace(report, tests=tuple((test, sector, GofResult(statistic, p_value, p_value > report.alpha(test), dof))
+                                       for test, sector, statistic, p_value, dof in found))

@@ -451,5 +451,7 @@ def evaluate_per_sector(deployment, ks_alpha=DEFAULT_KS_ALPHA):
             skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
     else:
         skipped.append((None, "angular_chi2", "plan contains non-circular sectors"))
-    return StatReport(per_sector=tuple(per_sector), radial=tuple(radial), areal=tuple(areal), angular=angular,
-                      ks_alpha=ks_alpha, skipped=tuple(skipped))
+    tests = [("radial_ks", index, result) for index, result in radial]
+    tests += [("areal_chi2", index, result) for index, result in areal]
+    tests += [("angular_chi2", None, angular)] * (angular is not None)
+    return StatReport(per_sector=tuple(per_sector), tests=tuple(tests), ks_alpha=ks_alpha, skipped=tuple(skipped))

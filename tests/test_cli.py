@@ -18,6 +18,7 @@ from helpers import (
     BAD_SECTORS,
     SequenceStream,
     corrupt_metadata,
+    evaluate_per_sector,
     pools_cannot_start,
     pretend_cpus,
     read_range_fails,
@@ -271,6 +272,38 @@ class TestValidateCommand:
         capsys.readouterr()
         assert run_cli("validate", path) == 4
         assert f"{path}: angular_chi2 failed for all points: statistic " in capsys.readouterr().err
+
+    def test_transcript_of_a_run_failing_every_check(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([{"shape": "disk", "r": 1.0, "n": 1000},
+                                    {"shape": "annulus", "r_inner": 1.0, "r_outer": 2.0, "n": 1000}]))
+        out = tmp_path / "out"
+        assert run_cli("plan", "--plan", plan, "--seed", 1, "--out-dir", out) == 0
+        path, meta = out / "run_000.csv", out / "run_000.meta.json"
+        # radii uniform (not area-uniform) in each sector, angles in the upper half only; sector 2
+        # holds one point over its quota, and its last 12 points lie at radius 5, outside it
+        r = np.concatenate([np.linspace(0.0005, 0.9995, 1000), np.linspace(1.0005, 1.9995, 1001)])
+        r[-12:] = 5.0
+        theta = np.mod(np.arange(r.size) * 0.6180339887498949, 1.0) * np.pi
+        tags = np.repeat(np.array([1, 2], dtype=np.int64), [1000, 1001])
+        d = deployment_from_files(path, meta)
+        write_points(path, dataclasses.replace(d, x=r * np.cos(theta), y=r * np.sin(theta), sector=tags))
+        d = deployment_from_files(path, meta)
+        oracle = evaluate_per_sector(d, ks_alpha=0.05)
+        failed = [("radial_ks", f"sector {i}", res, "0.05") for i, res in oracle.radial if not res.passed]
+        failed += [("areal_chi2", f"sector {i}", res, "0.001") for i, res in oracle.areal if not res.passed]
+        failed += [("angular_chi2", "all points", oracle.angular, "0.001")] * (not oracle.angular.passed)
+        assert {test for test, *_ in failed} == {"radial_ks", "areal_chi2", "angular_chi2"}
+        capsys.readouterr()
+        assert run_cli("validate", "--alpha", 0.05, path) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == (
+            [f"{path}: sector 2 has 1001 points, expected 1000"]
+            + [f"{path}: point {i} lies outside sector 2" for i in range(1989, 1999)]
+            + [f"{path}: ... and 2 more membership violations"]
+            + [f"{path}: {test} failed for {where}: statistic {res.statistic:.6g}, "
+               f"p-value {res.p_value:.6g} <= alpha {alpha}" for test, where, res, alpha in failed])
 
     def test_siblings_share_the_full_stem(self, tmp_path, capsys):
         out = tmp_path / "out"

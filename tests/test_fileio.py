@@ -1211,9 +1211,9 @@ class TestReport:
             # more records per list than one batch of the C encoder holds
             "10,000 sectors": StatReport(
                 per_sector=tuple(SectorStat(i, 100, 0.1 * i, 1000.0 / i) for i in range(1, 10_001)),
-                radial=tuple((i, GofResult(1.0 / i, 0.5, True)) for i in range(1, 10_001)),
-                areal=tuple((i, GofResult(float(i), 1e-300, False, dof=63)) for i in range(1, 3_001)),
-                angular=GofResult(30.0, 0.75, True, dof=35),
+                tests=tuple(("radial_ks", i, GofResult(1.0 / i, 0.5, True)) for i in range(1, 10_001))
+                + tuple(("areal_chi2", i, GofResult(float(i), 1e-300, False, dof=63)) for i in range(1, 3_001))
+                + (("angular_chi2", None, GofResult(30.0, 0.75, True, dof=35)),),
                 ks_alpha=0.01,
                 skipped=tuple((i, "areal_chi2", f"{i} < 320 points") for i in range(3_001, 10_001)),
             ),
@@ -1232,7 +1232,7 @@ class TestReport:
     def test_records_of_one_list_share_their_keys(self, tmp_path):
         # a dof is written only where it is set, so a list that mixes the two has no one layout
         radial = ((1, GofResult(0.1, 0.5, True)), (2, GofResult(0.1, 0.5, True, dof=3)))
-        report = StatReport(per_sector=(), radial=radial, areal=(), angular=None, ks_alpha=0.01)
+        report = StatReport(per_sector=(), tests=tuple(("radial_ks", *entry) for entry in radial), ks_alpha=0.01)
         assert [list(record) for record in report.to_dict()["radial_ks"]] == [
             ["sector", "statistic", "p_value", "passed"], ["sector", "statistic", "p_value", "passed", "dof"]]
         with pytest.raises(ValueError, match="share their keys"):

@@ -462,6 +462,15 @@ class TestClosedFormPValues:
             if reference > TINY:
                 assert relative_error(_kolmogorov(x), reference) <= 1e-12, x
 
+    def test_kolmogorov_p_value_is_conservative(self):
+        # the asymptotic P(K > sqrt(n) * D) is never below the exact one-sample P(D_n > D) for the
+        # sample sizes KS runs at (n >= MIN_KS_POINTS), so a KS test never rejects more often than
+        # its level says
+        for n in (30, 31, 50, 100, 300, 1000, 3000, 10_000, 30_000, 100_000):
+            for p in (0.9, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+                distance = sps.kstwo.isf(p, n)
+                assert _kolmogorov(math.sqrt(n) * distance) >= sps.kstwo.sf(distance, n), (n, p)
+
     def test_kolmogorov_is_one_at_and_near_zero(self):
         assert _kolmogorov(0.0) == 1.0
         assert _kolmogorov(-1.0) == 1.0

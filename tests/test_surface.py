@@ -2,6 +2,7 @@
 ``__all__`` resolves, and every library name the benchmark harness in
 ``perfbench/`` imports or wraps still exists."""
 import ast
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -15,7 +16,8 @@ import scatternet
 from helpers import SequenceStream
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Circle, NetworkConfig
-from scatternet.fileio import automatic_metadata
+from scatternet.fileio import automatic_metadata, deployment_from_files
+from scatternet.stats import evaluate_deployment
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 ENTRY_POINTS = ["Annulus", "ConfigError", "Deployment", "DeploymentPlan", "Disk", "NetworkConfig", "OverlapError",
@@ -58,6 +60,29 @@ def test_names_perfbench_traces_resolve():
     spec.loader.exec_module(inprocess)
     for owner, attr, span, _ in inprocess.TRACED:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+@pytest.mark.skipif(not hasattr(contextlib, "chdir"), reason="perfbench needs contextlib.chdir (Python 3.11)")
+def test_traced_validate_counts_every_test_of_each_file(tmp_path, monkeypatch):
+    # at alpha 0.99 most radial KS tests fail, and 600 points over up to 10 layers leave some skipped
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inprocess, spans = importlib.import_module("inprocess"), importlib.import_module("spans")
+    tracer, counts = spans.Tracer(0), collections.Counter()
+    files = ["run_000.csv", "run_001.csv"]
+    with open(tmp_path / "log", "w") as log, inprocess.traced_library(tracer, counts):
+        deploy = ["deploy", "--size", "1", "--max-layers", "10", "--nodes", "600", "--seed", "1", "--runs", "2"]
+        assert inprocess.run_main(deploy, tmp_path, log) == 0
+        code = inprocess.run_main(["validate", "--alpha", "0.99", *files], tmp_path, log)
+    names = [name for _, name, *_ in tracer.spans]
+    for name in ("stats.count_per_sector", "stats.check_membership", "stats.evaluate_deployment"):
+        assert names.count(name) == len(files), name
+    reports = [evaluate_deployment(deployment_from_files(tmp_path / name, tmp_path / name.replace(".csv", ".meta.json")),
+                                   ks_alpha=0.99) for name in files]
+    failed = sum(len(report.failures()) for report in reports)
+    assert code == 4 and failed > 0
+    assert counts["stats.gof_tests"] == sum(len(report.tests) for report in reports)
+    assert counts["stats.gof_failed"] == failed
+    assert counts["stats.gof_skipped"] == sum(len(report.skipped) for report in reports) > 0
 
 
 def test_metadata_perfbench_expects_is_what_the_writer_writes(monkeypatch):
