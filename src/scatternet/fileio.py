@@ -439,27 +439,32 @@ _RANGE_BYTES = 2 << 20
 _SCAN_BYTES = 1 << 16
 
 
-def _ranges(path, layout: str):
+def _ranges(path, layout: str, cpus: int, size: int):
     """``(path, begin, end)`` of each byte range of a points file in
-    ``layout``, or None if the file does not start and end as the writer's
-    files do: with ``head + open`` and ``close + tail`` of its ``_LAYOUTS``
-    entry (so a CSV without its final newline is not cut).  Ranges are cut
-    at row separators, ``close + sep + open``, which belong to no range.
-    There is at most one range per CPU, each of at least ``_RANGE_BYTES``.
-    Each range but the last ends at the first row separator within
-    ``_SCAN_BYTES`` of its share's nominal end; where there is none, the
-    rest of the file is the last range."""
+    ``layout`` on ``cpus`` CPUs, or None if it is not cut.  On one CPU, or
+    if ``size``, its size as last seen, is too small for two ranges of
+    ``_RANGE_BYTES`` past its head and before its tail, the file is not
+    opened.  Once open, it is cut by the size it has then, and not at all
+    if it does not start and end as the writer's files do: with ``head +
+    open`` and ``close + tail`` of its ``_LAYOUTS`` entry (so a CSV without
+    its final newline is not cut).  Ranges are cut at row separators,
+    ``close + sep + open``, which belong to no range.  There is at most one
+    range per CPU, each of at least ``_RANGE_BYTES``.  Each range but the
+    last ends at the first row separator within ``_SCAN_BYTES`` of its
+    share's nominal end; where there is none, the rest of the file is the
+    last range."""
     head, opening, _, closing, sep, tail = _LAYOUTS[layout]
     head, separator, tail = head + opening, closing + sep + opening, closing + tail
+    if cpus < 2 or size < 2 * _RANGE_BYTES + len(head) + len(tail):
+        return None
     with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        begin, stop = len(head), size - len(tail)
+        begin, stop = len(head), os.fstat(handle.fileno()).st_size - len(tail)
         if handle.read(begin) != head or begin > stop:
             return None
         handle.seek(stop)
         if handle.read() != tail:
             return None
-        count = max(1, min(_cpus(), (stop - begin) // _RANGE_BYTES))
+        count = max(1, min(cpus, (stop - begin) // _RANGE_BYTES))
         ranges, start = [], begin
         for index in range(1, count):
             at = max(start, begin + index * (stop - begin) // count)
@@ -539,8 +544,9 @@ def read_ahead(paths, writes):
     range, one that ``_ranges`` refuses or raises on, one that is the
     same file as an earlier entry's ``writes``, and a path not listed.
 
-    At entry, only a file that one ``os.stat`` shows long enough for two
-    ranges is opened, and only on two or more CPUs.
+    At entry, the CPU set is read once, and only a file that one
+    ``os.stat`` shows long enough for two ranges is opened, and only on two
+    or more CPUs (see :func:`_ranges`).
 
     A range that raises raises at its file's read, and later files are
     still read.  On one CPU no file is cut; if the pool cannot start, the
@@ -552,13 +558,9 @@ def read_ahead(paths, writes):
     cpus = _cpus()
     for path, write in zip(map(Path, paths), writes):
         layout = _layout_of(path)
-        head, opening, _, closing, _, tail = _LAYOUTS[layout]
         try:
             stat = os.stat(path)
-            # too small for two ranges of _RANGE_BYTES past the head and before the tail
-            short = stat.st_size < 2 * _RANGE_BYTES + len(head + opening) + len(closing + tail)
-            cut = cpus > 1 and not short and (stat.st_dev, stat.st_ino) not in written
-            ranges = _ranges(path, layout) if cut else None
+            ranges = None if (stat.st_dev, stat.st_ino) in written else _ranges(path, layout, cpus, stat.st_size)
         except (OSError, ValueError):
             ranges = None
         ranges = ranges if ranges is not None and len(ranges) > 1 else []

@@ -8,9 +8,11 @@ radius) against the uniform law; per sector of any shape, one areal
 chi-square over ``AREAL_SHELLS x AREAL_WEDGES`` equal cells of the pairs
 (equal-area shells by wedges for an annulus or disk, an equal grid for a
 rectangle).  The third, when every sector is origin-centered, is an angular
-chi-square over all points.  ``_skips`` states which of a sector's tests
-run; the report holds every test run in one family, ``StatReport.tests``,
-and ``StatReport.alpha`` states the level each is judged at.
+chi-square over all points.  ``_skips`` and ``_angular_skip`` state which
+tests run; the report holds every test run in one family,
+``StatReport.tests``, and ``StatReport.alpha`` states the level each is
+judged at.  ``radial_ks`` and ``areal_chi2`` are one-sector runs of the
+same passes.  KS distances are taken against F(u) = clip(u, 0, 1).
 
 ``check_membership`` and ``evaluate_deployment`` test a run's sectors in
 passes over its points grouped by sector, not one sector at a time: a pass
@@ -70,12 +72,13 @@ AREAL_WEDGES = 8
 
 
 class InsufficientSampleError(ValueError):
-    """The point set is too small for the requested test to be meaningful."""
+    """The point set is too small for the requested test to be meaningful:
+    ``"<test>: <reason>"``, with the reason a report gives for the skip."""
 
 
-def _require_points(n: int, needed: int, test: str) -> None:
-    if n < needed:
-        raise InsufficientSampleError(f"{test} needs at least {needed} points, got {n}")
+def _refuse(test: str, reason: Optional[str]) -> None:
+    if reason is not None:
+        raise InsufficientSampleError(f"{test}: {reason}")
 
 
 # Keys of a goodness-of-fit result, in the order a report writes them
@@ -134,12 +137,6 @@ def _pearson_statistics(observed: np.ndarray, expected) -> np.ndarray:
     return np.sum((observed - expected) ** 2 / expected, axis=-1)
 
 
-def _pearson_chi2(observed: np.ndarray, expected: np.ndarray, alpha: float) -> GofResult:
-    stat, dof = float(_pearson_statistics(observed, expected)), observed.size - 1
-    p_value = _chi2_sf(dof, stat)
-    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha, dof=dof)
-
-
 def _ks_distances(u, sizes) -> list:
     """The KS distance from the uniform law on [0, 1] of each run of ``u``:
     ``u`` is consecutive runs of ``sizes`` values, each run sorted and not
@@ -158,43 +155,6 @@ def _ks_distances(u, sizes) -> list:
     return [max(above, below) for above, below in zip(d_plus, d_minus)]
 
 
-def _uniform_ks(u, alpha: float) -> GofResult:
-    # KS of ``u`` against the uniform law on [0, 1].
-    n = u.size
-    stat = _ks_distances(np.sort(u), np.array([n]))[0]
-    p_value = _kolmogorov(math.sqrt(n) * stat)
-    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha)
-
-
-def radial_ks(x, y, inner: float, outer: float, alpha: float = DEFAULT_KS_ALPHA) -> GofResult:
-    """One-sample KS test of radii against the annulus area-uniform law.
-
-    The reference CDF is F(r) = (r^2 - inner^2) / (outer^2 - inner^2), the
-    ``u1`` of the annulus's ``unit``, tested against the uniform law.  The
-    p-value of the statistic D is the asymptotic P(K > sqrt(n) * D), and the
-    test passes when it exceeds ``alpha``: at 0.01, when D < 1.628 / sqrt(n).
-    All points are assumed to lie in the annulus (membership is checked
-    separately).  ``Annulus`` refuses any ``inner >= outer``.
-    """
-    annulus = Annulus(inner, outer)
-    x = np.asarray(x, dtype=np.float64)
-    _require_points(x.size, MIN_KS_POINTS, "radial KS")
-    return _uniform_ks(annulus.unit(x, np.asarray(y, dtype=np.float64))[0], alpha)
-
-
-def angular_chi2(x, y, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
-    """Pearson chi-square of point angles against uniformity on [0, 2pi),
-    over ``ANGULAR_BINS`` equal bins."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    _require_points(n, MIN_EXPECTED_PER_BIN * ANGULAR_BINS, f"angular chi-square with {ANGULAR_BINS} bins")
-    angles = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-    observed, _ = np.histogram(angles, bins=ANGULAR_BINS, range=(0.0, 2.0 * math.pi))
-    expected = np.full(ANGULAR_BINS, n / ANGULAR_BINS)
-    return _pearson_chi2(observed.astype(np.float64), expected, alpha)
-
-
 def _cells(u1, u2) -> np.ndarray:
     """Each pair's cell of ``AREAL_SHELLS`` equal slices of u1 by
     ``AREAL_WEDGES`` of u2, with values outside [0, 1) clipped to the end
@@ -204,10 +164,45 @@ def _cells(u1, u2) -> np.ndarray:
     return band * AREAL_WEDGES + slot
 
 
-def _cells_chi2(u1, u2, alpha: float) -> GofResult:
-    cells = AREAL_SHELLS * AREAL_WEDGES
-    observed = np.bincount(_cells(u1, u2), minlength=cells).astype(np.float64)
-    return _pearson_chi2(observed, np.full(cells, u1.size / cells), alpha)
+def _one_sector(test: str, x, y, shape, alpha: float) -> GofResult:
+    """``test`` of the points as the one sector of ``shape``, judged at
+    ``alpha``.  The points are not checked as a ``Deployment``'s are: ``x``
+    and ``y`` broadcast against each other, as in the shape's ``unit``."""
+    area = shape.area()
+    if not area > 0:
+        raise ValueError(f"{test} requires a shape of positive area, got {shape}")
+    x = np.asarray(x, dtype=np.float64)
+    _refuse(test, _skips(shape, area, x.size).get(test))
+    x, y = np.broadcast_arrays(x, np.asarray(y, dtype=np.float64))
+    ks = np.array([test == "radial_ks"])
+    ((_, _, statistic, p_value, dof),) = _sector_tests(x, y, (None, [0, x.size], np.array([x.size])), [shape], ks, ~ks)
+    return GofResult(statistic, p_value, p_value > alpha, dof)
+
+
+def radial_ks(x, y, inner: float, outer: float, alpha: float = DEFAULT_KS_ALPHA) -> GofResult:
+    """One-sample KS test of radii against the annulus area-uniform law.
+
+    The reference CDF is F(r) = (r^2 - inner^2) / (outer^2 - inner^2), the
+    ``u1`` of the annulus's ``unit``, tested against the uniform CDF
+    clip(u, 0, 1).  The p-value of the statistic D is the asymptotic
+    P(K > sqrt(n) * D), and the test passes when it exceeds ``alpha``: at
+    0.01, when D < 1.628 / sqrt(n).  It is the radial test that
+    ``evaluate_deployment`` runs on a one-sector plan of the annulus; it
+    does not check membership.  ``Annulus`` refuses any ``inner >= outer``.
+    """
+    return _one_sector("radial_ks", x, y, Annulus(inner, outer), alpha)
+
+
+def angular_chi2(x, y, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
+    """Pearson chi-square of point angles against uniformity on [0, 2pi),
+    over ``ANGULAR_BINS`` equal bins: the network-wide test of ``evaluate_deployment``."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    _refuse("angular_chi2", _angular_skip(x.size))
+    angles = np.mod(np.arctan2(y, x), 2.0 * math.pi)
+    observed, _ = np.histogram(angles, bins=ANGULAR_BINS, range=(0.0, 2.0 * math.pi))
+    stat = float(_pearson_statistics(observed.astype(np.float64), x.size / ANGULAR_BINS))
+    p_value = _chi2_sf(ANGULAR_BINS - 1, stat)
+    return GofResult(statistic=stat, p_value=p_value, passed=p_value > alpha, dof=ANGULAR_BINS - 1)
 
 
 def areal_chi2(x, y, shape, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
@@ -218,14 +213,10 @@ def areal_chi2(x, y, shape, alpha: float = DEFAULT_CHI2_ALPHA) -> GofResult:
     area in the shape, so every cell has the same expected count under area
     uniformity: an annulus or disk is cut into equal-area shells crossed
     with equal wedges, a rectangle into an equal grid (rows by columns).
-    The shape must have a positive area.
+    It is the areal test that ``evaluate_deployment`` runs on a one-sector
+    plan of the shape, which must have a positive area.
     """
-    if not shape.area() > 0:
-        raise ValueError(f"areal_chi2 requires a shape of positive area, got {shape}")
-    x = np.asarray(x, dtype=np.float64)
-    cells = AREAL_SHELLS * AREAL_WEDGES
-    _require_points(x.size, MIN_EXPECTED_PER_BIN * cells, f"areal chi-square with {cells} cells")
-    return _cells_chi2(*shape.unit(x, np.asarray(y, dtype=np.float64)), alpha)
+    return _one_sector("areal_chi2", x, y, shape, alpha)
 
 
 def count_per_sector(deployment: Deployment):
@@ -267,14 +258,14 @@ def _passes(kinds, bounds):
             lo = hi
 
 
-def _apply(deployment: Deployment, grouping, rules, lo: int, hi: int):
+def _apply(x, y, grouping, rules, lo: int, hi: int):
     """The array function of the sectors lo..hi-1, all one kind, applied to
-    their points (views of the arrays when they are grouped as they are):
-    with each sector's own parameters, spread to one value per point when
-    the pass holds two or more sectors."""
+    their points (views of ``x`` and ``y`` when they are grouped as they
+    are): with each sector's own parameters, spread to one value per point
+    when the pass holds two or more sectors."""
     order, bounds, sizes = grouping
     taken = slice(bounds[lo], bounds[hi]) if order is None else order[bounds[lo]:bounds[hi]]
-    x, y = deployment.x[taken], deployment.y[taken]
+    x, y = x[taken], y[taken]
     function = rules[lo][0]
     params = [params for _, params in rules[lo:hi]]
     if hi - lo == 1:
@@ -295,27 +286,28 @@ def check_membership(deployment: Deployment) -> np.ndarray:
     rules = [sec.shape.contains_rule() for sec in deployment.plan.sectors]
     outside = []
     for lo, hi in _passes([function for function, _ in rules], bounds):
-        found = np.flatnonzero(~_apply(deployment, grouping, rules, lo, hi)) + bounds[lo]
+        found = np.flatnonzero(~_apply(deployment.x, deployment.y, grouping, rules, lo, hi)) + bounds[lo]
         outside.append(found if order is None else order[found])
     return np.sort(np.concatenate(outside))  # a plan holds at least one sector
 
 
-def _sector_tests(deployment: Deployment, grouping, ks, areal) -> list:
+def _sector_tests(x, y, grouping, shapes, ks, areal) -> list:
     """``(test, sector, statistic, p-value, dof)`` of the radial KS test of
     each sector ``ks`` marks, then of the areal chi-square test of each
-    sector ``areal`` marks (boolean arrays by sector from 0), by sector.
+    sector ``areal`` marks (boolean arrays by sector from 0), by sector:
+    sector j is ``shapes[j]``, its points those of ``x, y`` by ``grouping``.
     Sectors neither marks are in no pass.
 
     A pass counts the cells of all its sectors in one ``bincount`` over
-    sector x cells + cell, then sorts each KS sector's u1 in place and
-    takes every distance from the sorted runs at once."""
+    sector x cells + cell, then clips u1 into [0, 1], sorts each KS sector's
+    u1 in place and takes every distance from the sorted runs at once."""
     cells = AREAL_SHELLS * AREAL_WEDGES
     _, bounds, sizes = grouping
-    rules = [sec.shape.unit_rule() if run else (None, ()) for sec, run in zip(deployment.plan.sectors, ks | areal)]
+    rules = [shape.unit_rule() if run else (None, ()) for shape, run in zip(shapes, ks | areal)]
     radial, chi2 = [], []
     for lo, hi in _passes([function for function, _ in rules], bounds):
         begin, counts = bounds[lo], sizes[lo:hi]
-        u1, u2 = _apply(deployment, grouping, rules, lo, hi)
+        u1, u2 = _apply(x, y, grouping, rules, lo, hi)
         marked = np.flatnonzero(areal[lo:hi])
         if marked.size:
             code = _cells(u1, u2)
@@ -326,9 +318,10 @@ def _sector_tests(deployment: Deployment, grouping, ks, areal) -> list:
             chi2 += [("areal_chi2", lo + j + 1, q, _chi2_sf(cells - 1, q), cells - 1)
                      for j, q in zip(marked.tolist(), pearson.tolist())]
         tested = (lo + np.flatnonzero(ks[lo:hi])).tolist()
-        for j in tested:
-            u1[bounds[j] - begin:bounds[j + 1] - begin].sort()
         if tested:
+            np.clip(u1, 0.0, 1.0, out=u1)  # the uniform CDF: a point outside its sector is at an end
+            for j in tested:
+                u1[bounds[j] - begin:bounds[j + 1] - begin].sort()
             # every sector's points are a run of u1; those of sectors not tested are unsorted, and dropped
             runs = dict(zip(np.flatnonzero(counts > 0).tolist(), _ks_distances(u1, counts[counts > 0])))
             radial += [("radial_ks", j + 1, runs[j - lo], _kolmogorov(math.sqrt(sizes[j]) * runs[j - lo]), None)
@@ -349,6 +342,14 @@ def _skips(shape, area: float, count: int) -> dict:
     if rect:
         skips["radial_ks"] = "not applicable to rectangular sectors"
     return skips
+
+
+def _angular_skip(count: int, shapes=()) -> Optional[str]:
+    """Why the angular test of ``count`` points of ``shapes`` is skipped, or None if it is run."""
+    if any(isinstance(shape, Rect) for shape in shapes):
+        return "plan contains non-circular sectors"
+    needed = MIN_EXPECTED_PER_BIN * ANGULAR_BINS
+    return f"{count} points < {needed}" if count < needed else None
 
 
 @dataclass(frozen=True)
@@ -431,25 +432,23 @@ def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALP
     Each test is judged at the report's ``alpha(test)``: the radial KS
     tests at ``ks_alpha``, every chi-square test at ``DEFAULT_CHI2_ALPHA``.
 
-    Tests whose preconditions a sector does not meet (``_skips``) are
-    recorded as skipped rather than failed; the network-wide angular test
-    only applies when every sector is origin-centered.
+    Tests whose preconditions a run does not meet (``_skips`` for a
+    sector's, ``_angular_skip`` for the network-wide angular test) are
+    recorded as skipped rather than failed.
     """
     grouping = _grouped(deployment)
-    counts = grouping[2].tolist()
+    shapes = [sec.shape for sec in deployment.plan.sectors]
     per_sector, skipped, ks, areal = [], [], [], []
-    for index, (sec, count) in enumerate(zip(deployment.plan.sectors, counts), start=1):
-        area = sec.shape.area()
+    for index, (shape, count) in enumerate(zip(shapes, grouping[2].tolist()), start=1):
+        area = shape.area()
         per_sector.append(SectorStat(index, count, area, count / area if area > 0 else math.inf))
-        skips = _skips(sec.shape, area, count)
+        skips = _skips(shape, area, count)
         skipped += [(index, test, reason) for test, reason in skips.items()]
         ks.append("radial_ks" not in skips)
         areal.append("areal_chi2" not in skips)
-    found = _sector_tests(deployment, grouping, np.array(ks), np.array(areal))
-    if any(isinstance(sec.shape, Rect) for sec in deployment.plan.sectors):
-        skipped.append((None, "angular_chi2", "plan contains non-circular sectors"))
-    elif len(deployment) < MIN_EXPECTED_PER_BIN * ANGULAR_BINS:
-        skipped.append((None, "angular_chi2", f"{len(deployment)} points < {MIN_EXPECTED_PER_BIN * ANGULAR_BINS}"))
+    found = _sector_tests(deployment.x, deployment.y, grouping, shapes, np.array(ks), np.array(areal))
+    if (reason := _angular_skip(len(deployment), shapes)) is not None:
+        skipped.append((None, "angular_chi2", reason))
     else:
         angular = angular_chi2(deployment.x, deployment.y)
         found.append(("angular_chi2", None, angular.statistic, angular.p_value, angular.dof))

@@ -307,8 +307,8 @@ def truncated_after(ranges):
     """``ranges`` that cuts 6 bytes off the end of the file once it has cut
     the file into ranges: the last range loses the end of its last tag, and
     a points JSON file its tail."""
-    def cut_then_truncate(path, layout):
-        cut = ranges(path, layout)
+    def cut_then_truncate(path, *args):
+        cut = ranges(path, *args)
         os.truncate(path, os.path.getsize(path) - 6)
         return cut
     return cut_then_truncate
@@ -396,7 +396,7 @@ def membership_per_sector(deployment):
 
 def _uniform_ks(u, alpha):
     n = u.size
-    cdf = np.sort(u)
+    cdf = np.sort(np.clip(u, 0.0, 1.0))  # the uniform CDF
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / n)))

@@ -505,13 +505,30 @@ class TestReadAhead:
         pools = pretend_cpus(monkeypatch, cpus)
         head, tail = len(b"x,y,sector\n"), len(b"\n")
         monkeypatch.setattr(fileio, "_RANGE_BYTES", (path.stat().st_size - head - tail) // 2 + margin)
-        cut = []
-        ranges = fileio._ranges
-        monkeypatch.setattr(fileio, "_ranges", lambda *args: cut.append(args) or ranges(*args))
+        opens = []
+        monkeypatch.setattr(fileio, "open", lambda *args: opens.append(args) or open(*args), raising=False)
         with fileio.read_ahead([path], [path.with_suffix(".out")]):
+            assert opens == ([(path, "rb")] if opened else [])
             assert same_arrays(read_points(path), arrays)
-        assert cut == ([(path, "csv")] if opened else [])
         assert pools == ([2] if opened else [])
+
+    @pytest.mark.parametrize("answers", [(2, 1), (1, 2)])
+    def test_one_cpu_count_per_block(self, files, tmp_path, monkeypatch, answers):
+        # the CPU set changing mid-block, as by ``taskset -p``, is read once, at entry: every file
+        # of the block is cut for the CPUs its pool was sized for, or none is
+        paths, _ = files
+        paths.append(tmp_path / "p2.csv")
+        write_points(paths[-1], spread_deployment(4000, seed=2))
+        pools = pretend_cpus(monkeypatch, 2)
+        calls, counts = [], itertools.chain(answers, itertools.repeat(answers[-1]))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append(pid) or set(range(next(counts))),
+                            raising=False)
+        with fileio.read_ahead(paths, [path.with_suffix(".out") for path in paths]):
+            got = [read_points(path) for path in paths]
+        assert len(calls) == 1
+        assert all(same_arrays(a, fileio._csv_points(path)) for a, path in zip(got, paths))
+        assert pools == ([2] if answers[0] == 2 else [])
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
     def test_leaving_the_block_leaves_no_worker_and_no_entry(self, files, monkeypatch, error):
@@ -1139,7 +1156,8 @@ class TestJsonParsePausesGc:
         path, bad = tmp_path / "p.json", tmp_path / "bad.json"
         write_points(path, spread_deployment(10, seed=7), fmt="json")
         bad.write_text(path.read_text().replace("]]}", ", true]]}"))
-        (_, begin, end), = fileio._ranges(path, "json")
+        head, opening, _, closing, _, tail = fileio._LAYOUTS["json"]
+        begin, end = len(head + opening), path.stat().st_size - len(closing + tail)  # the body as one range
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()

@@ -144,6 +144,22 @@ class TestRadialKs:
         collapsed = radial_ks(r, np.zeros_like(r), 0.5, 1.0)
         assert direct.statistic == collapsed.statistic
 
+    def test_points_outside_the_annulus_count_at_its_ends(self):
+        # the KS distance is taken against the uniform CDF clip(u, 0, 1), in the single-sample test,
+        # in validate's pass and in the per-sector oracle: none exceeds 1
+        x, y = sample_annulus(1.0, 2.0, 500, RandomStream(9, 0))
+        x[:60], y[:60] = 3.0 * x[:60], 3.0 * y[:60]  # radii 3 to 6: u1 above 1
+        x[60:80], y[60:80] = 0.25 * x[60:80], 0.25 * y[60:80]  # radii 0.25 to 0.5: u1 below 0
+        u1 = Annulus(1.0, 2.0).unit(x, y)[0]
+        reference = float(sps.kstest(u1, lambda v: np.clip(v, 0.0, 1.0)).statistic)
+        plan = DeploymentPlan(sectors=(Sector(Annulus(1.0, 2.0), 500),))
+        d = Deployment(x=x, y=y, sector=np.ones(500, dtype=np.int64), plan=plan)
+        results = [radial_ks(x, y, 1.0, 2.0), evaluate_deployment(d).radial[0][1],
+                   evaluate_per_sector(d).radial[0][1]]
+        assert len(set(results)) == 1
+        assert results[0].statistic == pytest.approx(reference, abs=1e-12)
+        assert reference < 1.0
+
 
 class TestAngularChi2:
     def test_correct_sampler_passes(self):
@@ -215,6 +231,9 @@ class TestShapeUnit:
         x, y = sample_sector(Circle(1.0), 1000, RandomStream(0, 0))
         with pytest.raises(ValueError, match="inner < outer"):
             radial_ks(x, y, 1.0, 1.0)
+        # 2e-200 ** 2 underflows to 0: the area CDF would divide by 0
+        with pytest.raises(ValueError, match="positive area"):
+            radial_ks(np.full(100, 1.5e-200), np.zeros(100), 1e-200, 2e-200)
 
 
 class TestArealChi2:
@@ -258,6 +277,54 @@ class TestHonestTestSizes:
         assert abs(ks_passes / trials - 0.99) <= 3 * math.sqrt(0.01 * 0.99 / trials)
         assert abs(ang_passes / trials - 0.999) <= 3 * math.sqrt(0.001 * 0.999 / trials)
         assert abs(areal_passes / trials - 0.999) <= 3 * math.sqrt(0.001 * 0.999 / trials)
+
+
+class TestOneEngine:
+    """The single-sample tests are the tests ``evaluate_deployment`` runs on
+    a one-sector plan: each raises ``InsufficientSampleError`` with the
+    reason that report gives for its skip, or gives the statistic, p-value
+    and dof of its entry."""
+
+    SHAPES = TestShapeUnit.SHAPES
+
+    @staticmethod
+    def one_sector_report(shape, x, y):
+        plan = DeploymentPlan(sectors=(Sector(shape, x.size),))
+        return evaluate_deployment(Deployment(x=x, y=y, sector=np.ones(x.size, dtype=np.int64), plan=plan))
+
+    @staticmethod
+    def assert_is_the_report_entry(call, report, test, sector):
+        skips = {(where, name): reason for where, name, reason in report.skipped}
+        if (sector, test) in skips:
+            with pytest.raises(InsufficientSampleError) as caught:
+                call()
+            assert str(caught.value) == f"{test}: {skips[sector, test]}"
+        else:
+            (entry,) = [result for name, where, result in report.tests if (name, where) == (test, sector)]
+            result = call()
+            assert (result.statistic, result.p_value, result.dof) == (entry.statistic, entry.p_value, entry.dof)
+
+    @pytest.mark.parametrize("n", [29, 30, 319, 320, 1000, 40_000])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_sector_tests_are_the_report_entries(self, shape, n):
+        x, y = sample_sector(shape, n, RandomStream(n, 12))
+        report = self.one_sector_report(shape, x, y)
+        if not isinstance(shape, Rect):
+            self.assert_is_the_report_entry(lambda: radial_ks(x, y, shape.inner, shape.outer), report, "radial_ks", 1)
+        self.assert_is_the_report_entry(lambda: areal_chi2(x, y, shape), report, "areal_chi2", 1)
+
+    @pytest.mark.parametrize("n", [179, 180])
+    def test_angular_test_is_the_report_entry(self, n):
+        for shape in self.SHAPES[:3]:
+            x, y = sample_sector(shape, n, RandomStream(n, 13))
+            self.assert_is_the_report_entry(lambda: angular_chi2(x, y), self.one_sector_report(shape, x, y),
+                                            "angular_chi2", None)
+        # with a rectangle in the plan the angular rule skips the test at any size, for its first reason
+        x, y = sample_sector(self.SHAPES[3], n, RandomStream(n, 13))
+        report = self.one_sector_report(self.SHAPES[3], x, y)
+        assert report.angular is None
+        assert (None, "angular_chi2", "plan contains non-circular sectors") in report.skipped
+        assert stats._angular_skip(n, [self.SHAPES[3]]) == "plan contains non-circular sectors"
 
 
 def density_profile(deployment):
