@@ -71,7 +71,7 @@ def _load_json(path):
 # each chunk once, as bytes of ``x,y,sector`` rows joined by newlines (floats
 # by ``repr``, what ``json.dumps`` writes for finite floats; tags as integers),
 # then turns "," into ``field`` and newlines into ``close + sep + open``: a
-# float ``repr`` holds neither.  :func:`_ranges` cuts files at the same bytes.
+# float ``repr`` holds neither.  :func:`_ranges` cuts CSV files at the same bytes.
 _LAYOUTS = {
     "csv": (b"x,y,sector", b"\n", b",", b"", b"", b"\n"),
     "json": (b'{"columns": ["x", "y", "sector"], "points": [', b"[", b", ", b"]", b", ", b"]}\n"),
@@ -408,73 +408,61 @@ def _csv_points(path):
                       f"got {shown}")
 
 
-def _json_range(path, begin: int, end: int):
-    """Arrays of the JSON points in bytes ``begin`` to ``end``, or None.
-
-    The bytes are the text between the ``[`` of a first row and the ``]`` of
-    a last one, as ASCII.  ``[[`` + text + ``]]`` must be one JSON array of
-    rows that ``_json_rows`` accepts, so the text holds whole rows and
-    brackets that close no more than it opens.
-    """
-    data = _read_range(path, begin, end)
-    if data is None:
-        return None
-    with _gc_paused():
-        try:
-            rows = json.loads("[[" + data.decode("ascii") + "]]")
-        except (ValueError, RecursionError):  # also non-ASCII bytes and too deep nesting
-            return None
-        columns = _json_rows(rows)
-        del rows  # freed while paused, or the next collection would walk every row
-    return columns
-
-
-# Points layouts as read: (range parser, strict parser).  The strict parser
-# reads a whole file and words every error.
-_READ_LAYOUTS = {"csv": (_csv_range, _csv_points), "json": (_json_range, _json_points)}
-# Bytes per range, at least: a file of fewer than two ranges is read whole by
-# its strict parser; a larger one is cut into up to one range per CPU.  On a
-# 2-CPU host two ranges beat one from about 4 MB, in both formats.
+# Points layouts as read: (the parser of a read-ahead job, the strict parser).
+# The strict parser reads a whole file and words every error.  A CSV job parses
+# one byte range; a JSON file is never cut, and its job is its strict parser.
+_READ_LAYOUTS = {"csv": (_csv_range, _csv_points), "json": (_json_points, _json_points)}
+# Bytes per range, at least.  A file too short for two ranges is read at its
+# turn by its strict parser; a longer one is read ahead, a JSON file whole and
+# a CSV file in up to one range per CPU.  On a 2-CPU host two ranges of a CSV
+# file beat one from about 4 MB.
 _RANGE_BYTES = 2 << 20
 _SCAN_BYTES = 1 << 16
 
 
-def _ranges(path, layout: str, cpus: int, size: int):
-    """``(path, begin, end)`` of each byte range of a points file in
-    ``layout`` on ``cpus`` CPUs, or None if it is not cut.  On one CPU, or
-    if ``size``, its size as last seen, is too small for two ranges of
-    ``_RANGE_BYTES`` past its head and before its tail, the file is not
-    opened.  Once open, it is cut by the size it has then, and not at all
-    if it does not start and end as the writer's files do: with ``head +
-    open`` and ``close + tail`` of its ``_LAYOUTS`` entry (so a CSV without
-    its final newline is not cut).  Ranges are cut at row separators,
-    ``close + sep + open``, which belong to no range.  There is at most one
-    range per CPU, each of at least ``_RANGE_BYTES``.  Each range but the
-    last ends at the first row separator within ``_SCAN_BYTES`` of its
-    share's nominal end; where there is none, the rest of the file is the
-    last range."""
-    head, opening, _, closing, sep, tail = _LAYOUTS[layout]
-    head, separator, tail = head + opening, closing + sep + opening, closing + tail
-    if cpus < 2 or size < 2 * _RANGE_BYTES + len(head) + len(tail):
-        return None
+def _ranges(path, cpus: int) -> list:
+    """``(path, begin, end)`` of each byte range of a points CSV file on
+    ``cpus`` CPUs, or none if it is not cut.  It is cut by the size it has
+    once open, and not at all if it does not start with ``_CSV_HEAD`` and
+    end with a newline, as the writer's files do.  Ranges are cut at
+    newlines, which belong to no range.  There is at most one range per
+    CPU, each of at least ``_RANGE_BYTES``.  Each range but the last ends
+    at the first newline within ``_SCAN_BYTES`` of its share's nominal end;
+    where there is none, the rest of the file is the last range, and a file
+    of one range is not cut."""
     with open(path, "rb") as handle:
-        begin, stop = len(head), os.fstat(handle.fileno()).st_size - len(tail)
-        if handle.read(begin) != head or begin > stop:
-            return None
+        begin, stop = len(_CSV_HEAD), os.fstat(handle.fileno()).st_size - 1
+        if handle.read(begin) != _CSV_HEAD or begin > stop:
+            return []
         handle.seek(stop)
-        if handle.read() != tail:
-            return None
+        if handle.read() != b"\n":
+            return []
         count = max(1, min(cpus, (stop - begin) // _RANGE_BYTES))
         ranges, start = [], begin
         for index in range(1, count):
             at = max(start, begin + index * (stop - begin) // count)
             handle.seek(at)
-            found = handle.read(min(_SCAN_BYTES, stop - at)).find(separator)
+            found = handle.read(min(_SCAN_BYTES, stop - at)).find(b"\n")
             if found < 0:
                 break
             ranges.append((path, start, at + found))
-            start = at + found + len(separator)
-    return ranges + [(path, start, stop)]
+            start = at + found + 1
+    return ranges + [(path, start, stop)] if ranges else []
+
+
+def _jobs(path, layout: str, cpus: int, size: int) -> list:
+    """The read-ahead jobs of a points file in ``layout`` on ``cpus`` CPUs,
+    as ``(layout, path, *range)``, or none if it is read at its turn.
+
+    A file is read ahead only on two or more CPUs, and only if ``size``,
+    its size as last seen, is long enough for two ranges of ``_RANGE_BYTES``
+    past the head and before the tail of its ``_LAYOUTS`` entry; a shorter
+    one is not opened.  A JSON file is then one job, which parses it whole;
+    a CSV file is one job per range that :func:`_ranges` cuts."""
+    head, opening, _, closing, _, tail = _LAYOUTS[layout]
+    if cpus < 2 or size < 2 * _RANGE_BYTES + len(head + opening) + len(closing + tail):
+        return []
+    return [(layout, *cut) for cut in (_ranges(path, cpus) if layout == "csv" else [(path,)])]
 
 
 def _layout_of(path: Path) -> str:
@@ -487,14 +475,15 @@ def read_points(path):
     Both formats hold finite coordinates and 64-bit integer tags; anything
     else raises :class:`FormatError`.  Every read is one of a
     :func:`read_ahead` block; a read outside one reads as a block of its
-    one file.  A file that the block cut into two or more byte ranges
-    (see :func:`_ranges`) takes its parsed ranges from the block's
-    stream; workers read their own ranges, so in a parallel read no
-    process holds the whole file.  Every other file, and one whose ranges
-    are refused, is read whole, in-process, by the strict parser of its
+    one file.  A file that the block read ahead (see :func:`_jobs`) takes
+    its parsed jobs from the block's stream: a JSON file's one job is its
+    strict parser's outcome; a CSV file's jobs are its byte ranges, which
+    workers read themselves, so in a parallel read no process holds the
+    whole file.  Every other file, and a CSV file whose ranges are
+    refused, is read whole, in-process, by the strict parser of its
     format, which words every error: :func:`_csv_points` names
-    ``path:line``, :func:`_json_points` the path.  The range parsers read
-    exactly what the strict parsers read, so the outcome depends on
+    ``path:line``, :func:`_json_points` the path.  The range parser reads
+    exactly what the strict parser reads, so the outcome depends on
     neither the CPU count nor the range size.
     """
     path = Path(path)
@@ -503,13 +492,13 @@ def read_points(path):
             stack.enter_context(read_ahead([path], [path]))  # one entry: no later one to overwrite
         parts = _taken_ahead(path)
     if parts and all(part is not None for part in parts):
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(column) for column in zip(*parts))
     return _READ_LAYOUTS[_layout_of(path)][1](path)
 
 
 # The read-ahead block in progress, if any: its entries that no read has
-# taken, as ``(path, range count)`` in order, and the stream of their
-# parsed ranges (see :func:`read_ahead`).  It is the module's, as reads
+# taken, as ``(path, job count)`` in order, and the stream of their
+# parsed jobs (see :func:`read_ahead`).  It is the module's, as reads
 # reach :func:`read_points` through ``deployment_from_files(points, meta)``.
 _ahead = None
 
@@ -519,11 +508,11 @@ def _file_id(path):
     return stat.st_dev, stat.st_ino
 
 
-def _parse_ahead(layout: str, path, begin: int, end: int):
-    """The range parser of ``layout`` on one range, or the exception it
-    raised: its file raises it at its read, and the stream goes on."""
+def _parse_ahead(layout: str, path, *cut):
+    """The job parser of ``layout`` on one job, or the exception it raised:
+    its file raises it at its read, and the stream goes on."""
     try:
-        return _READ_LAYOUTS[layout][0](path, begin, end)
+        return _READ_LAYOUTS[layout][0](path, *cut)
     except Exception as exc:
         return exc
 
@@ -534,24 +523,27 @@ def read_ahead(paths, writes):
     one ``with`` block; ``writes[i]`` is a file that the caller may write
     after it reads ``paths[i]``.
 
-    One :func:`_in_order` stream parses the ranges of every file that
-    :func:`_ranges` cuts into two or more, so one pool serves the block,
-    and parses the next files while the caller works on this one.
-    :func:`read_points` of ``paths[i]`` takes the ranges of the first
-    entry of that path that no read has taken, and drops those of the
-    entries before it, whose files the caller did not read.  Every other
-    file is read whole at its read, by its strict parser: a file of one
-    range, one that ``_ranges`` refuses or raises on, one that is the
-    same file as an earlier entry's ``writes``, and a path not listed.
+    One :func:`_in_order` stream runs the jobs of every file that
+    :func:`_jobs` reads ahead: each JSON file whole, each CSV file in its
+    byte ranges.  So one pool serves the block, with at most one worker per
+    job, and parses the next files while the caller works on this one; a
+    lone file of one job is parsed in-process, at its read.
+    :func:`read_points` of ``paths[i]`` takes the jobs of the first entry
+    of that path that no read has taken, and drops those of the entries
+    before it, whose files the caller did not read.  Every other file is
+    read whole at its read, by its strict parser: a file too short, a CSV
+    file that ``_ranges`` does not cut, one whose jobs raise at entry, one
+    that is the same file as an earlier entry's ``writes``, and a path not
+    listed.
 
-    At entry, the CPU set is read once, and only a file that one
-    ``os.stat`` shows long enough for two ranges is opened, and only on two
-    or more CPUs (see :func:`_ranges`).
+    At entry, the CPU set is read once, every listed file is stat'ed once,
+    and only a CSV file long enough for two ranges is opened, and only on
+    two or more CPUs (see :func:`_jobs`).
 
-    A range that raises raises at its file's read, and later files are
-    still read.  On one CPU no file is cut; if the pool cannot start, the
-    stream parses each file's ranges in-process, at its read.  The block
-    is left as :func:`_in_order`'s is, with no entry left.
+    A job that raises raises at its file's read, and later files are still
+    read.  On one CPU no file is read ahead; if the pool cannot start, the
+    stream runs each file's jobs in-process, at its read.  The block is
+    left as :func:`_in_order`'s is, with no entry left.
     """
     global _ahead
     entries, jobs, written = deque(), [], set()
@@ -560,12 +552,11 @@ def read_ahead(paths, writes):
         layout = _layout_of(path)
         try:
             stat = os.stat(path)
-            ranges = None if (stat.st_dev, stat.st_ino) in written else _ranges(path, layout, cpus, stat.st_size)
+            ahead = [] if (stat.st_dev, stat.st_ino) in written else _jobs(path, layout, cpus, stat.st_size)
         except (OSError, ValueError):
-            ranges = None
-        ranges = ranges if ranges is not None and len(ranges) > 1 else []
-        entries.append((path, len(ranges)))
-        jobs += [(layout, *cut) for cut in ranges]
+            ahead = []
+        entries.append((path, len(ahead)))
+        jobs += ahead
         with suppress(OSError, ValueError):  # a file it creates is none of ``paths``
             written.add(_file_id(write))
     with _in_order(_parse_ahead, jobs, min(cpus, len(jobs))) as parsed:
@@ -577,13 +568,13 @@ def read_ahead(paths, writes):
 
 
 def _taken_ahead(path: Path):
-    """The parsed ranges of ``path`` from the read-ahead block in progress,
+    """The parsed jobs of ``path`` from the read-ahead block in progress,
     or an empty list if it has none."""
     entries, parsed = _ahead
     index = next((i for i, (entry, _) in enumerate(entries) if entry == path), None)
     if index is None:
         return []
-    for _ in range(index):  # entries whose files were not read: their ranges are dropped
+    for _ in range(index):  # entries whose files were not read: their jobs are dropped
         deque(itertools.islice(parsed, entries.popleft()[1]), maxlen=0)
     parts = list(itertools.islice(parsed, entries.popleft()[1]))
     for part in parts:

@@ -289,24 +289,26 @@ def pools_cannot_start(monkeypatch) -> list:
     return attempts
 
 
-def read_range_fails(path, begin, end):
-    """A ``fileio._read_range`` whose read fails, as a device error would."""
+def read_range_fails(path, *args):
+    """A ``fileio._read_range``, or a ``fileio._load_json``, whose read
+    fails, as a device error would."""
     raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
 def read_range_fails_for(failing, read_range):
-    """A ``fileio._read_range`` that fails as :func:`read_range_fails` does
-    for the file ``failing`` only, and reads other files with
-    ``read_range``."""
-    def read(path, begin, end):
-        return (read_range_fails if os.path.samefile(path, failing) else read_range)(path, begin, end)
+    """A ``fileio._read_range``, or a ``fileio._load_json``, that fails as
+    :func:`read_range_fails` does for the file ``failing`` only, and reads
+    other files with ``read_range``."""
+    def read(path, *args):
+        return (read_range_fails if os.path.samefile(path, failing) else read_range)(path, *args)
     return read
 
 
 def truncated_after(ranges):
-    """``ranges`` that cuts 6 bytes off the end of the file once it has cut
-    the file into ranges: the last range loses the end of its last tag, and
-    a points JSON file its tail."""
+    """``ranges``, or ``fileio._jobs``, that cuts 6 bytes off the end of the
+    file once it has cut the file into ranges or jobs: the last range of a
+    CSV file loses the end of its last tag, and a points JSON file its
+    tail."""
     def cut_then_truncate(path, *args):
         cut = ranges(path, *args)
         os.truncate(path, os.path.getsize(path) - 6)

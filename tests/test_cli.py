@@ -570,21 +570,25 @@ class TestRangedRead:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failing_worker_exits_3(self, ranged_run, monkeypatch, capsys, fmt):
         out, pools = ranged_run
-        monkeypatch.setattr(fileio, "_read_range", read_range_fails)
-        assert run_cli("validate", out / fmt / f"run_000.{fmt}") == 3
+        path = out / fmt / f"run_000.{fmt}"
+        if fmt == "csv":
+            monkeypatch.setattr(fileio, "_read_range", read_range_fails)
+        else:  # it fails in its one job, whose strict parser reads it by ``_load_json``, as its metadata
+            monkeypatch.setattr(fileio, "_load_json", read_range_fails_for(path, fileio._load_json))
+        assert run_cli("validate", path) == 3
         err = capsys.readouterr().err
         assert "Input/output error" in err and "Traceback" not in err
-        assert pools == [2]
+        assert pools == ([2] if fmt == "csv" else [])
         assert multiprocessing.active_children() == []
 
     def test_file_truncated_after_it_was_cut_exits_3(self, ranged_run, monkeypatch, capsys):
         out, pools = ranged_run
-        monkeypatch.setattr(fileio, "_ranges", truncated_after(fileio._ranges))
+        monkeypatch.setattr(fileio, "_jobs", truncated_after(fileio._jobs))  # a JSON file is one job
         path = out / "json" / "run_000.json"
         assert run_cli("validate", path) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"{path}: not valid JSON") and "Traceback" not in err
-        assert pools == [2]
+        assert pools == []
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -594,7 +598,7 @@ class TestRangedRead:
         report = path.with_name("run_000.report.json")
         assert run_cli("validate", path) == 0
         parallel = report.read_bytes()
-        assert pools == [2]
+        assert pools == ([2] if fmt == "csv" else [])  # a lone JSON file is one job, parsed in-process
         pretend_cpus(monkeypatch, 1)
         assert run_cli("validate", path) == 0
         assert report.read_bytes() == parallel
@@ -686,7 +690,9 @@ class TestValidateMany:
         pretend_cpus(monkeypatch, 2)
         attempts = pools_cannot_start(monkeypatch)
         assert [self.validate(runs, capsys, *command) for command in commands] == one_cpu
-        assert attempts == [2] * 7  # one per command that cuts a file: all nine, then six alone
+        # one per command with two or more jobs: all nine, then the four CSV files cut alone (a lone
+        # JSON file is one job)
+        assert attempts == [2] * 5
         assert multiprocessing.active_children() == []
 
     def test_file_without_metadata_is_not_read_ahead(self, runs, monkeypatch, capsys, tmp_path):
@@ -713,7 +719,9 @@ class TestValidateMany:
         source, work = runs
         shutil.copytree(source, work)
         paths = [work / name for name in ("csv/run_000.csv", failing, "half/run_000.csv", "small/run_000.csv")]
-        monkeypatch.setattr(fileio, "_read_range", read_range_fails_for(paths[1], fileio._read_range))
+        # a JSON file fails in its one job, whose strict parser reads it by ``_load_json``
+        read = "_load_json" if failing.startswith("json") else "_read_range"
+        monkeypatch.setattr(fileio, read, read_range_fails_for(paths[1], getattr(fileio, read)))
         pools = pretend_cpus(monkeypatch, 2)
         assert run_cli("validate", *paths) == 3
         out, err = capsys.readouterr()

@@ -530,6 +530,71 @@ class TestReadAhead:
         assert pools == ([2] if answers[0] == 2 else [])
         assert multiprocessing.active_children() == []
 
+    @pytest.fixture
+    def json_files(self, tmp_path, monkeypatch):
+        """Two points JSON files of 4000 points, each long enough for two
+        ranges of 4 KiB."""
+        paths = [tmp_path / f"p{seed}.json" for seed in range(2)]
+        for seed, path in enumerate(paths):
+            write_points(path, spread_deployment(4000, seed=seed), fmt="json")
+        monkeypatch.setattr(fileio, "_RANGE_BYTES", 1 << 12)
+        return paths
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_json_files_are_each_one_job(self, json_files, tmp_path, monkeypatch, cpus):
+        # workers are forked: each parse is logged to a file, not to a list of this process
+        log, load_json = tmp_path / "parses.log", fileio._load_json
+
+        def logged(path):
+            with open(log, "a") as handle:
+                handle.write(f"{path}\n")
+            return load_json(path)
+
+        strict = [fileio._json_points(path) for path in json_files]
+        monkeypatch.setattr(fileio, "_load_json", logged)
+        pools = pretend_cpus(monkeypatch, cpus)
+        with fileio.read_ahead(json_files, [path.with_suffix(".out") for path in json_files]):
+            assert list(fileio._ahead[0]) == [(path, int(cpus > 1)) for path in json_files]
+            got = [read_points(path) for path in json_files]
+        assert all(same_arrays(a, b) for a, b in zip(got, strict))
+        assert sorted(log.read_text().splitlines()) == sorted(map(str, json_files))  # each parsed once
+        assert pools == ([2] if cpus > 1 else [])  # at most one worker per job
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lone_json_file_is_parsed_in_process(self, json_files, monkeypatch, cpus):
+        path, strict = json_files[0], fileio._json_points(json_files[0])
+        pools = pretend_cpus(monkeypatch, cpus)
+        loads = []
+        monkeypatch.setattr(fileio, "_load_json", lambda path, load=fileio._load_json: loads.append(path) or load(path))
+        assert same_arrays(read_points(path), strict)
+        assert loads == [path]
+        assert pools == []
+
+    def test_malformed_json_file_fails_alone(self, json_files, monkeypatch):
+        bad, good = json_files
+        bad.write_text(bad.read_text().replace("]]}", ", true]]}"))
+        error, strict = read_outcome(fileio._json_points, bad), fileio._json_points(good)
+        assert error.startswith(f"{bad}: expected a \"points\" array")
+        pools = pretend_cpus(monkeypatch, 2)
+        with fileio.read_ahead(json_files, [path.with_suffix(".out") for path in json_files]):
+            assert read_outcome(read_points, bad) == error
+            assert same_arrays(read_points(good), strict)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_json_file_an_earlier_entry_writes_is_read_at_its_turn(self, json_files, tmp_path, monkeypatch):
+        first, second = json_files
+        replacement = tmp_path / "replacement.json"
+        write_points(replacement, spread_deployment(3000, seed=9), fmt="json")
+        pools = pretend_cpus(monkeypatch, 2)
+        with fileio.read_ahead(json_files, [second, second.with_suffix(".out")]):
+            assert list(fileio._ahead[0]) == [(first, 1), (second, 0)]
+            assert same_arrays(read_points(first), fileio._json_points(first))
+            second.write_bytes(replacement.read_bytes())
+            assert same_arrays(read_points(second), fileio._json_points(replacement))
+        assert pools == []  # one job
+
     @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
     def test_leaving_the_block_leaves_no_worker_and_no_entry(self, files, monkeypatch, error):
         paths, arrays = files
@@ -914,9 +979,10 @@ class TestCsvGrammar:
         assert (x.tolist(), y.tolist(), sector.tolist()) == ([0.5], [-0.25], [3])
 
     def test_written_file_skips_the_strict_parser(self, tmp_path):
-        """Files the writer wrote, read in one range per CPU, never reach a
-        strict parser, in either format; on one CPU, the strict parser reads
-        them whole, with no pool."""
+        """A CSV file the writer wrote, read in one range per CPU, never
+        reaches the strict parser, and a JSON one is read by its one job,
+        with no pool; on one CPU, the strict parser reads either whole, with
+        no pool."""
         d = spread_deployment(3 * CHUNK + 5, seed=7)
         for fmt in ("csv", "json"):
             path = tmp_path / f"p.{fmt}"
@@ -929,7 +995,7 @@ class TestCsvGrammar:
                         # read_points takes its strict parser from this table: a call would raise TypeError
                         patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
                     x, y, sector = read_points(path)
-                assert pools == ([2] if cpus == 2 else []), (fmt, cpus)
+                assert pools == ([2] if cpus == 2 and fmt == "csv" else []), (fmt, cpus)
                 assert x.tobytes() == d.x.tobytes() and y.tobytes() == d.y.tobytes(), (fmt, cpus)
                 assert sector.tobytes() == d.sector.tobytes(), (fmt, cpus)
 
@@ -1079,7 +1145,7 @@ class TestRangedReader:
         for content in (f"{JSON_HEAD}{rows}, [{token}, 0.5, 1], {rows}]}}\n",
                         f"{JSON_HEAD}{rows}, {token}{rows}]}}\n"):
             pools = assert_ranged_read_is_strict(content.encode(), ".json", 2)
-            assert pools == [2]
+            assert pools == []  # a lone JSON file is one job, parsed in-process
 
     @pytest.mark.parametrize("content", EDGE_FILES)
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -1100,7 +1166,7 @@ class TestRangedReader:
                     # the ranged read alone gives the arrays: a call of the strict parser would raise TypeError
                     patch.setitem(fileio._READ_LAYOUTS, fmt, fileio._READ_LAYOUTS[fmt][:-1] + (None,))
                 outcome = read_outcome(read_points, path)
-            assert pools == expected_pools, scan
+            assert pools == (expected_pools if fmt == "csv" else []), scan  # JSON: one job, never cut
             assert outcome == strict, scan
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -1115,7 +1181,7 @@ class TestRangedReader:
         with tiny_ranges(cpus) as pools:
             with pytest.raises(FormatError) as caught:
                 read_points(path)
-        assert pools == [cpus]
+        assert pools == ([cpus] if fmt == "csv" else [])
         assert str(caught.value) == strict_outcome(path)
         if fmt == "csv":
             assert str(caught.value).startswith(f"{path}:401: ")
@@ -1125,10 +1191,11 @@ class TestRangedReader:
         path = tmp_path / f"p.{fmt}"
         write_points(path, spread_deployment(400, seed=4), fmt=fmt)
         with tiny_ranges(2) as pools, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fileio, "_read_range", read_range_fails)
+            # a JSON file fails in its one job, whose strict parser reads it by ``_load_json``
+            patch.setattr(fileio, "_read_range" if fmt == "csv" else "_load_json", read_range_fails)
             with pytest.raises(OSError, match="Input/output error"):
                 read_points(path)
-        assert pools == [2]
+        assert pools == ([2] if fmt == "csv" else [])
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -1138,9 +1205,10 @@ class TestRangedReader:
         path = tmp_path / f"p.{fmt}"
         write_points(path, d, fmt=fmt)
         with tiny_ranges(cpus) as pools, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fileio, "_ranges", truncated_after(fileio._ranges))
+            cut = "_ranges" if fmt == "csv" else "_jobs"  # a JSON file is made one job, not cut
+            patch.setattr(fileio, cut, truncated_after(getattr(fileio, cut)))
             outcome = read_outcome(read_points, path)
-        assert pools == [cpus]
+        assert pools == ([cpus] if fmt == "csv" else [])
         assert multiprocessing.active_children() == []
         # the one-range verdict on what is left of the file
         assert outcome == strict_outcome(path)
@@ -1149,28 +1217,27 @@ class TestRangedReader:
 
 
 class TestJsonParsePausesGc:
-    """The JSON parsers pause the cyclic collector and leave it as found."""
+    """The JSON parser, in-process and as a read-ahead job, pauses the
+    cyclic collector and leaves it as found."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_gc_state_stays_as_found(self, tmp_path, enabled):
         path, bad = tmp_path / "p.json", tmp_path / "bad.json"
         write_points(path, spread_deployment(10, seed=7), fmt="json")
         bad.write_text(path.read_text().replace("]]}", ", true]]}"))
-        head, opening, _, closing, _, tail = fileio._LAYOUTS["json"]
-        begin, end = len(head + opening), path.stat().st_size - len(closing + tail)  # the body as one range
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
             outcomes = []
-            for parse in (lambda: fileio._json_range(path, begin, end),  # accepted
-                          lambda: fileio._json_range(path, begin, end + 1),  # one "]" too many: refused
+            for parse in (lambda: fileio._parse_ahead("json", path),  # accepted
+                          lambda: fileio._parse_ahead("json", bad),  # refused: the error is returned
                           lambda: fileio._json_points(path),
                           lambda: read_outcome(fileio._json_points, bad)):
                 outcomes.append(parse())
                 assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert outcomes[0] is not None and outcomes[1] is None and outcomes[2] is not None
+        assert same_arrays(outcomes[0], outcomes[2]) and isinstance(outcomes[1], FormatError)
         assert outcomes[3].startswith(f"{bad}: expected a \"points\" array")
 
 
