@@ -1,10 +1,10 @@
 """Seeded generation of inhomogeneous spatial node deployments over a disk.
 
-Two generation modes share one fill (``scatternet.sampling``), which
-hands each shape's ``place`` two uniform variates per point:
-``deploy_automatic`` builds a random layered deployment from three designer
-inputs (region radius, layer-count bound, node total), while
-``deploy_planned`` fills explicit non-overlapping sectors.
+Two generation modes share one sector model and its fill
+(``scatternet.core``), which hands each shape's ``place`` two uniform
+variates per point: ``deploy_automatic`` builds a random layered deployment
+from three designer inputs (region radius, layer-count bound, node total),
+while ``deploy_planned`` fills explicit non-overlapping sectors.
 ``scatternet.stats`` verifies the distributional contracts of either mode
 and ``scatternet.cli`` exposes batch generation and validation.  The
 package exports the entry points; every other public name lives in its
@@ -12,8 +12,8 @@ submodule's ``__all__``.
 """
 
 from .automatic import deploy_automatic
-from .core import Annulus, ConfigError, Deployment, Disk, NetworkConfig, Rect, Sector
-from .planned import DeploymentPlan, OverlapError, deploy_planned
+from .core import Annulus, ConfigError, Deployment, DeploymentPlan, Disk, NetworkConfig, Rect, Sector
+from .planned import OverlapError, deploy_planned
 from .rng import RandomStream
 from .stats import StatReport, evaluate_deployment
 

@@ -6,18 +6,16 @@ polar position of every node inside its layer.  Nodes are split so the
 innermost layer absorbs the division remainder and each outer layer gets an
 equal quota; within a layer the radial transform r = sqrt(L1^2 + u * (L2^2 -
 L1^2)) of the shape's ``place`` makes points uniform over the annulus area
-rather than over the radius.  The layer count, radii and quotas resolve straight to the run's
-:class:`DeploymentPlan` (a disk, then annuli), the sector model the planned
-mode shares, and ``scatternet.sampling`` fills it.
+rather than over the radius.  The layer count, radii and quotas resolve
+straight to the run's :class:`~scatternet.core.DeploymentPlan` (a disk, then
+annuli), the sector model the planned mode shares, whose fill it ends in.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Annulus, Circle, Deployment, Disk, NetworkConfig, Sector, validate_config
-from .planned import DeploymentPlan
+from .core import Annulus, Circle, Deployment, DeploymentPlan, Disk, NetworkConfig, Sector, validate_config
 from .rng import discrete_uniform_via_threshold
-from .sampling import fill_in_order
 
 __all__ = [
     "layer_plan",
@@ -124,7 +122,5 @@ def deploy_automatic(config: NetworkConfig, stream) -> Deployment:
         Exactly ``config.nodes`` points tagged with their 1-based layer
         index, plus the layers and their node quotas as a sector plan.
     """
-    plan = plan_run(config, stream)
     # Layers cannot overlap, so no overlap scan; all draw from the one stream.
-    x, y, tags = fill_in_order(plan.sectors, lambda layer: stream)
-    return Deployment(x=x, y=y, sector=tags, config=config, plan=plan)
+    return plan_run(config, stream).fill(lambda layer: stream, config)

@@ -8,6 +8,10 @@ square (the probability integral transform the tests read).  ``unit`` and
 of the shape's parameters, which also takes one parameter value per point:
 so one call applies the shapes of many sectors of a kind at once.
 
+The sector model both deployment modes share lives here too: a
+:class:`DeploymentPlan` of :class:`Sector` entries, whose ``fill`` writes
+each sector's points by :func:`fill_sector` into one :class:`Deployment`.
+
 All types are immutable after construction.  Every operation is a pure
 function of its arguments, except that ``place`` writes its points into the
 caller's ``xs`` and ``ys``; so shapes can be shared freely between
@@ -18,29 +22,37 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .planned import DeploymentPlan
 
 __all__ = [
     "ConfigError",
     "NetworkConfig",
-    "LayerSet",
     "Annulus",
     "Disk",
     "Rect",
     "Circle",
-    "Shape",
     "Sector",
+    "DeploymentPlan",
     "Deployment",
+    "fill_sector",
     "validate_config",
 ]
 
-MAX_UINT64 = 2**64 - 1
 TWO_PI = 2.0 * math.pi
+_POINT_CHUNK = 1 << 14
+
+
+def uint64(value: int) -> bool:
+    """Whether ``value`` fits in an unsigned 64-bit integer, the one rule for
+    a seed (and for the stream id a seed is keyed with)."""
+    return 0 <= value < 2**64
+
+
+def seed_violations(seed: int) -> list:
+    """The seed rule's violation for ``seed``, as a list of at most one message."""
+    return [] if uint64(seed) else [f"seed must fit in an unsigned 64-bit integer, got {seed}"]
 
 
 def normal_area(area: float) -> bool:
@@ -101,8 +113,7 @@ def validate_config(config: NetworkConfig) -> NetworkConfig:
             f"nodes must be at least max_layers ({config.max_layers}) so every "
             f"layer receives at least one node, got {config.nodes}"
         )
-    if not (0 <= config.seed <= MAX_UINT64):
-        violations.append(f"seed must fit in an unsigned 64-bit integer, got {config.seed}")
+    violations += seed_violations(config.seed)
     if violations:
         raise ConfigError(violations)
     return config
@@ -299,6 +310,56 @@ class Sector:
             raise ValueError(f"sector node count must be at least 1, got {self.count}")
 
 
+def fill_sector(x, y, shape, stream) -> None:
+    """Points uniform over any sector shape, written into ``x`` and ``y``:
+    two variates per point, point by point, drawn in cache-sized chunks, so
+    scratch memory is bounded.  Each chunk's first and second variates, with
+    its output slices, go to ``shape.place``."""
+    draws = np.empty(2 * min(x.size, _POINT_CHUNK), dtype=np.float64)
+    for start in range(0, x.size, _POINT_CHUNK):
+        stop = min(start + _POINT_CHUNK, x.size)
+        chunk = draws[: 2 * (stop - start)]
+        stream.uniform_fill(chunk)
+        shape.place(chunk[0::2], chunk[1::2], x[start:stop], y[start:stop])
+
+
+@dataclass(frozen=True)
+class DeploymentPlan:
+    """Ordered list of sectors with their node total: the one sector model
+    of both modes, read from a plan file or resolved from an automatic
+    run's layers."""
+
+    sectors: tuple
+
+    def __post_init__(self):
+        if len(self.sectors) < 1:
+            raise ValueError("a plan needs at least one sector")
+        for sec in self.sectors:
+            if not isinstance(sec, Sector):
+                raise TypeError(f"plan entries must be Sector instances, got {type(sec).__name__}")
+
+    @property
+    def total_nodes(self) -> int:
+        return sum(sec.count for sec in self.sectors)
+
+    def fill(self, stream_of, config: Optional[NetworkConfig] = None) -> "Deployment":
+        """The deployment of the sectors filled one after another, in plan order.
+
+        Sector ``index`` (1-based) writes its ``count`` points into its
+        slices of the run's preallocated arrays, drawing from
+        ``stream_of(index)``, and tags them ``index``.
+        """
+        quotas = [sec.count for sec in self.sectors]
+        x = np.empty(sum(quotas), dtype=np.float64)
+        y = np.empty_like(x)
+        offset = 0
+        for index, sec in enumerate(self.sectors, start=1):
+            fill_sector(x[offset:offset + sec.count], y[offset:offset + sec.count], sec.shape, stream_of(index))
+            offset += sec.count
+        tags = np.repeat(np.arange(1, len(quotas) + 1, dtype=np.int64), quotas)
+        return Deployment(x=x, y=y, sector=tags, plan=self, config=config)
+
+
 @dataclass(frozen=True)
 class Deployment:
     """A generated point set with 1-based per-point sector tags.
@@ -315,7 +376,7 @@ class Deployment:
     x: np.ndarray
     y: np.ndarray
     sector: np.ndarray
-    plan: "DeploymentPlan"
+    plan: DeploymentPlan
     config: Optional[NetworkConfig] = None
 
     def __post_init__(self):

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .automatic import layer_plan, split_nodes
-from .core import Annulus, Deployment, Disk, NetworkConfig, Rect, Sector, normal_area, validate_config
-from .planned import DeploymentPlan
+from .core import Annulus, Deployment, DeploymentPlan, Disk, NetworkConfig, Rect, Sector, normal_area, validate_config
 
 __all__ = [
     "FormatError",

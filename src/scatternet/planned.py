@@ -15,11 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Deployment, Rect, Sector
-from .sampling import fill_in_order
+from .core import Deployment, DeploymentPlan, Rect  # callers also import DeploymentPlan from here
 
 __all__ = [
-    "DeploymentPlan",
     "OverlapError",
     "OverlapCheck",
     "check_non_overlap",
@@ -46,24 +44,6 @@ class OverlapCheck:
         if self.ok:
             return None
         return f"sectors {self.pair[0]} and {self.pair[1]} overlap"
-
-
-@dataclass(frozen=True)
-class DeploymentPlan:
-    """Ordered list of sectors with their node total."""
-
-    sectors: tuple
-
-    def __post_init__(self):
-        if len(self.sectors) < 1:
-            raise ValueError("a plan needs at least one sector")
-        for sec in self.sectors:
-            if not isinstance(sec, Sector):
-                raise TypeError(f"plan entries must be Sector instances, got {type(sec).__name__}")
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(sec.count for sec in self.sectors)
 
 
 def _box_origin_distances(rect: Rect):
@@ -128,5 +108,4 @@ def deploy_planned(plan: DeploymentPlan, stream) -> Deployment:
     check = check_non_overlap(plan.sectors)
     if not check.ok:
         raise OverlapError(check.message)
-    x, y, tags = fill_in_order(plan.sectors, stream.substream)
-    return Deployment(x=x, y=y, sector=tags, plan=plan)
+    return plan.fill(stream.substream)

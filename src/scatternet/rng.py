@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .core import uint64
+
 __all__ = ["RandomStream", "discrete_uniform_via_threshold"]
 
 _SUBSTREAM_SHIFT = 2**32
@@ -32,7 +34,7 @@ class RandomStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if not 0 <= value < 2**64:
+            if not uint64(value):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)

@@ -10,9 +10,9 @@ chi-square over ``AREAL_SHELLS x AREAL_WEDGES`` equal cells of the pairs
 rectangle).  The third, when every sector is origin-centered, is an angular
 chi-square over all points.  ``_skips`` and ``_angular_skip`` state which
 tests run; the report holds every test run in one family,
-``StatReport.tests``, and ``StatReport.alpha`` states the level each is
-judged at.  ``radial_ks`` and ``areal_chi2`` are one-sector runs of the
-same passes.  KS distances are taken against F(u) = clip(u, 0, 1).
+``StatReport.tests``, and ``_level`` states the level each is judged at.
+``radial_ks`` and ``areal_chi2`` are one-sector runs of the same passes.
+KS distances are taken against F(u) = clip(u, 0, 1).
 
 ``check_membership`` and ``evaluate_deployment`` test a run's sectors in
 passes over its points grouped by sector, not one sector at a time: a pass
@@ -37,7 +37,7 @@ reproduced numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -352,6 +352,11 @@ def _angular_skip(count: int, shapes=()) -> Optional[str]:
     return f"{count} points < {needed}" if count < needed else None
 
 
+def _level(test: str, ks_alpha: float) -> float:
+    """The one level rule: radial KS is judged at ``ks_alpha``, every chi-square test at ``DEFAULT_CHI2_ALPHA``."""
+    return ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
+
+
 @dataclass(frozen=True)
 class SectorStat:
     index: int
@@ -377,8 +382,8 @@ class StatReport:
     skipped: tuple = field(default_factory=tuple)  # (sector index, test name, reason)
 
     def alpha(self, test: str) -> float:
-        """The level ``test`` is judged at: ``ks_alpha`` for radial KS, ``DEFAULT_CHI2_ALPHA`` for chi-square."""
-        return self.ks_alpha if test == "radial_ks" else DEFAULT_CHI2_ALPHA
+        """The level ``test`` is judged at (:func:`_level`)."""
+        return _level(test, self.ks_alpha)
 
     def _view(self, test: str) -> tuple:
         return tuple((sector, result) for name, sector, result in self.tests if name == test)
@@ -429,8 +434,8 @@ class StatReport:
 def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALPHA) -> StatReport:
     """Run every applicable distribution test and assemble a report.
 
-    Each test is judged at the report's ``alpha(test)``: the radial KS
-    tests at ``ks_alpha``, every chi-square test at ``DEFAULT_CHI2_ALPHA``.
+    Each test is judged at its level (:func:`_level`): the radial KS tests
+    at ``ks_alpha``, every chi-square test at ``DEFAULT_CHI2_ALPHA``.
 
     Tests whose preconditions a run does not meet (``_skips`` for a
     sector's, ``_angular_skip`` for the network-wide angular test) are
@@ -453,6 +458,6 @@ def evaluate_deployment(deployment: Deployment, ks_alpha: float = DEFAULT_KS_ALP
         angular = angular_chi2(deployment.x, deployment.y)
         found.append(("angular_chi2", None, angular.statistic, angular.p_value, angular.dof))
 
-    report = StatReport(per_sector=tuple(per_sector), tests=(), ks_alpha=ks_alpha, skipped=tuple(skipped))
-    return replace(report, tests=tuple((test, sector, GofResult(statistic, p_value, p_value > report.alpha(test), dof))
-                                       for test, sector, statistic, p_value, dof in found))
+    tests = tuple((test, sector, GofResult(statistic, p_value, p_value > _level(test, ks_alpha), dof))
+                  for test, sector, statistic, p_value, dof in found)
+    return StatReport(per_sector=tuple(per_sector), tests=tests, ks_alpha=ks_alpha, skipped=tuple(skipped))

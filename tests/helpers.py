@@ -8,10 +8,9 @@ import time
 import numpy as np
 
 from scatternet.automatic import deploy_automatic, split_nodes
-from scatternet.core import Annulus, NetworkConfig, Rect, validate_config
+from scatternet.core import Annulus, NetworkConfig, Rect, fill_sector, validate_config
 from scatternet.planned import OverlapCheck
 from scatternet.rng import RandomStream
-from scatternet.sampling import fill_sector
 from scatternet.stats import (
     ANGULAR_BINS,
     AREAL_SHELLS,

@@ -103,12 +103,24 @@ class TestDeployCommand:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("memory,code", [(100 * 24 - 1, 2), (100 * 24, 0)])
+    @pytest.mark.parametrize("memory,code", [(100 * cli.POINT_BYTES + 5 * cli.SECTOR_BYTES - 1, 2),
+                                             (100 * cli.POINT_BYTES + 5 * cli.SECTOR_BYTES, 0)])
     def test_size_guard_compares_the_estimate_with_memory(self, tmp_path, monkeypatch, memory, code):
         monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
         out = tmp_path / "out"
         assert run_cli("deploy", "--size", 1, "--max-layers", 5, "--nodes", 100, "--out-dir", out) == code
         assert out.exists() == (code == 0)
+
+    def test_guard_counts_the_most_layers_a_run_can_draw(self, tmp_path, monkeypatch, capsys):
+        # the points fit; max_layers sectors do not, however few layers the run would draw
+        memory = 1000 * cli.POINT_BYTES + 1000 * cli.SECTOR_BYTES - 1
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        out = tmp_path / "out"
+        assert run_cli("deploy", "--size", 1, "--max-layers", 1000, "--nodes", 1000, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"invalid configuration: 1000 points and 1000 sectors need {memory + 1} bytes, "
+            f"more than the {memory} bytes of physical memory\n")
+        assert not out.exists()
 
     def test_runs_use_distinct_streams(self, tmp_path):
         out = tmp_path / "out"
@@ -170,6 +182,16 @@ class TestPlanCommand:
         out = tmp_path / "out"
         assert run_cli("plan", "--plan", path, "--out-dir", out) == 2
         assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_guard_counts_the_plans_sectors(self, tmp_path, monkeypatch, capsys, two_annulus_plan):
+        memory = 100 * cli.POINT_BYTES + 2 * cli.SECTOR_BYTES - 1  # the points fit, the two sectors do not
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        out = tmp_path / "out"
+        assert run_cli("plan", "--plan", two_annulus_plan, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"invalid configuration: 100 points and 2 sectors need {memory + 1} bytes, "
+            f"more than the {memory} bytes of physical memory\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [2**64, -1])

@@ -14,12 +14,14 @@ import pytest
 
 import scatternet
 from helpers import SequenceStream
+from scatternet import core, planned
 from scatternet.automatic import deploy_automatic
 from scatternet.core import Circle, NetworkConfig
 from scatternet.fileio import automatic_metadata, deployment_from_files
 from scatternet.stats import evaluate_deployment
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+PACKAGE = Path(scatternet.__file__).parent
 ENTRY_POINTS = ["Annulus", "ConfigError", "Deployment", "DeploymentPlan", "Disk", "NetworkConfig", "OverlapError",
                 "RandomStream", "Rect", "Sector", "StatReport", "deploy_automatic", "deploy_planned",
                 "evaluate_deployment"]
@@ -51,6 +53,31 @@ def test_names_perfbench_imports_resolve():
                 for alias in node.names:
                     if alias.name.startswith("scatternet"):
                         importlib.import_module(alias.name)
+
+
+def _imported_modules(name: str) -> set:
+    """The ``scatternet`` modules that module ``name``'s source imports
+    anywhere, by their names within the package."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                found |= {module} if module else {alias.name for alias in node.names}
+            elif module.startswith("scatternet."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("scatternet.")}
+    return found
+
+
+def test_one_module_holds_the_sector_model():
+    # both modes build on core's sector model, and neither mode's module on the other's
+    assert _imported_modules("core") == set()
+    assert "planned" not in _imported_modules("automatic")
+    assert "automatic" not in _imported_modules("planned")
+    assert "planned" not in _imported_modules("fileio")
+    assert planned.DeploymentPlan is core.DeploymentPlan
 
 
 @pytest.mark.skipif(not hasattr(contextlib, "chdir"), reason="perfbench needs contextlib.chdir (Python 3.11)")
